@@ -39,6 +39,7 @@ from .model import (
 )
 from .minimax import (
     FamilySpec,
+    MinimaxResult,
     RealizabilityReport,
     SolveOptions,
     family_method,
@@ -137,13 +138,16 @@ def refute_joint_minimaxity(
     loss_q: LossSpec,
     theta_interval: Interval,
     opts: Optional[RefuteOptions] = None,
+    p_solution: Optional[MinimaxResult] = None,
 ) -> RefutationCertificate:
     """Certificate that the loss_p family optimum is (or is not) improvable
     for loss_q.
 
     Requires both local exponents > 1 and separated by more than the
     configured gap; equal-class pairs are rejected up front because positive
-    scaling never leaves a class.
+    scaling never leaves a class.  `p_solution`, when given, must be the
+    result of solve_minimax for loss_p with the same model, family, interval
+    and `opts.solve`; it is used instead of solving that problem again.
     """
     if opts is None:
         opts = RefuteOptions()
@@ -160,7 +164,9 @@ def refute_joint_minimaxity(
             f"same class (gap <= {opts.min_exponent_gap})"
         )
 
-    mm = solve_minimax(model, family, loss_p, theta_interval, opts.solve)
+    mm = p_solution
+    if mm is None:
+        mm = solve_minimax(model, family, loss_p, theta_interval, opts.solve)
     params = np.asarray(mm.best_params)
     method = family_method(family, opts.solve)
 
@@ -361,6 +367,7 @@ def check_exclusivity_partition(
 ) -> PartitionReport:
     """Solve each exponent class and try to refute every cross-class pair.
 
+    Each class is solved once: the refutations reuse the per-class results.
     pairwise_disjoint is True exactly when every pair came back Refuted;
     other verdicts are carried in the witnesses rather than raised.
     """
@@ -392,7 +399,8 @@ def check_exclusivity_partition(
     witnesses = tuple(
         map_ordered(
             lambda ij: refute_joint_minimaxity(
-                model, family, losses[ij[0]], losses[ij[1]], theta_interval, opts
+                model, family, losses[ij[0]], losses[ij[1]], theta_interval, opts,
+                p_solution=report.results[ij[0]],
             ),
             pairs,
         )

@@ -10,7 +10,7 @@ a claim about all measurable decision rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -247,8 +247,3 @@ def realizability_report(
         tuple(float(np.linalg.norm(a - b)) for b in pts) for a in pts
     )
     return RealizabilityReport(losses=losses, results=results, param_distances=distances)
-
-
-def with_seed(opts: SolveOptions, seed: int) -> SolveOptions:
-    """Copy of the options with a different master seed."""
-    return replace(opts, seed=seed)

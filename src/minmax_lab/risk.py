@@ -6,9 +6,21 @@ expectation is a segmented Gauss-Legendre integral (machine precision at
 the default 200 nodes; see quadrature.py).  Every other estimator is
 handled by seeded Monte Carlo.
 
-Worst-case risk scans an even theta grid and refines around the best grid
-point by golden-section search.  Identity-weight affine rules (gamma = 1)
-have theta-free risk; that case short-circuits and is flagged.
+Worst-case risk picks its sup method from the estimator and the risk
+method, and records which one it used (`WorstCaseResult.sup_method`):
+
+  * "constant": the error draws do not depend on theta (SampleMedian, and
+    identity-weight affine rules with gamma = 1), so the risk is theta-free.
+    One evaluation at the interval midpoint.
+  * "endpoints": an affine rule under quadrature has the exactly Gaussian
+    error mu(theta) + s*Z with mu affine in theta.  Every loss here is even
+    and nondecreasing in |t|, so by Anderson's lemma the risk is
+    nondecreasing in |mu| and the exact sup sits at an interval endpoint.
+    Two evaluations.
+  * "grid": everything else (SignPerturbed rules, and affine rules under
+    Monte Carlo, whose common-random-number surface need not peak at an
+    endpoint) scans an even theta grid and refines around the best grid
+    point by golden-section search.
 """
 
 from __future__ import annotations
@@ -27,6 +39,7 @@ from .model import (
     EstimatorSpec,
     GaussianLocationModel,
     Interval,
+    SampleMedian,
     check_estimator,
     error_draws,
     error_law,
@@ -73,11 +86,22 @@ class RiskEstimate:
 
 @dataclass(frozen=True)
 class WorstCaseResult:
+    """sup of the risk over a theta interval and where it was attained.
+
+    `sup_method` is "constant", "endpoints" or "grid" (see the module
+    docstring); `grid_points` is the number of theta values that method
+    scanned before any golden-section refinement: 1, 2 or the grid size.
+    """
+
     sup_value: float
     argmax_theta: float
     grid_points: int
     refinement_tol: float
-    constant_in_theta: bool = False
+    sup_method: str
+
+    @property
+    def constant_in_theta(self) -> bool:
+        return self.sup_method == "constant"
 
 
 def _checked(value: float, context: str) -> float:
@@ -205,11 +229,13 @@ def worst_case_risk(
     refine_tol: float = DEFAULT_REFINE_TOL,
     method: Optional[RiskMethod] = None,
 ) -> WorstCaseResult:
-    """sup over theta_interval of the risk, by grid scan + golden refinement.
+    """sup over theta_interval of the risk, by the method the estimator's
+    structure allows (see the module docstring).
 
     With a MonteCarlo method the same seed is reused at every theta (common
     random numbers), so the scanned function is a fixed deterministic
-    surface and the supremum is well defined.
+    surface and the supremum is well defined.  `grid` and `refine_tol` are
+    validated on every call but used only by the grid scan.
     """
     check_estimator(est)
     if grid < 16:
@@ -219,18 +245,19 @@ def worst_case_risk(
     if method is None:
         method = default_method(est)
 
-    if isinstance(est, AffineMean) and est.gamma == 1.0:
-        r = risk(model, est, loss, theta_interval.midpoint, method)
-        return WorstCaseResult(
-            sup_value=r.value,
-            argmax_theta=theta_interval.midpoint,
-            grid_points=grid,
-            refinement_tol=refine_tol,
-            constant_in_theta=True,
-        )
-
     def risk_at(theta: float) -> float:
         return risk(model, est, loss, theta, method).value
+
+    if isinstance(est, SampleMedian) or (isinstance(est, AffineMean) and est.gamma == 1.0):
+        mid = theta_interval.midpoint
+        return WorstCaseResult(risk_at(mid), mid, 1, refine_tol, "constant")
+
+    if isinstance(est, AffineMean) and isinstance(method, Quadrature):
+        lo, hi = theta_interval.lo, theta_interval.hi
+        at_lo, at_hi = risk_at(lo), risk_at(hi)
+        # ties go to lo, the first index np.argmax would pick
+        best_theta, best_value = (hi, at_hi) if at_hi > at_lo else (lo, at_lo)
+        return WorstCaseResult(best_value, best_theta, 2, refine_tol, "endpoints")
 
     thetas = np.linspace(theta_interval.lo, theta_interval.hi, grid)
     values = np.array([risk_at(t) for t in thetas])
@@ -242,9 +269,4 @@ def worst_case_risk(
     x, fx = golden_section_max(risk_at, lo, hi, refine_tol)
     if fx > best_value:
         best_theta, best_value = x, fx
-    return WorstCaseResult(
-        sup_value=best_value,
-        argmax_theta=best_theta,
-        grid_points=grid,
-        refinement_tol=refine_tol,
-    )
+    return WorstCaseResult(best_value, best_theta, grid, refine_tol, "grid")

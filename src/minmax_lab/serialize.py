@@ -13,7 +13,7 @@ from .exclusivity import LadderPoint, PartitionReport, RefutationCertificate
 from .minimax import MinimaxResult
 from .risk import MonteCarlo, Quadrature, RiskEstimate, RiskMethod, WorstCaseResult
 
-MINIMAX_SCHEMA = "minmax-lab/minimax-result/v1"
+MINIMAX_SCHEMA = "minmax-lab/minimax-result/v2"
 CERTIFICATE_SCHEMA = "minmax-lab/refutation-certificate/v1"
 PARTITION_SCHEMA = "minmax-lab/partition-report/v1"
 
@@ -42,6 +42,7 @@ def worst_case_to_dict(w: WorstCaseResult) -> Dict[str, Any]:
     return {
         "sup_value": float(w.sup_value),
         "argmax_theta": float(w.argmax_theta),
+        "sup_method": w.sup_method,
         "grid_points": int(w.grid_points),
         "refinement_tol": float(w.refinement_tol),
         "constant_in_theta": bool(w.constant_in_theta),

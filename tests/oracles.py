@@ -33,6 +33,30 @@ def quadpack_power_risk(mu: float, s: float, p: float) -> float:
     return value
 
 
+def quadpack_huber_risk(mu: float, s: float, k: float) -> float:
+    """E[huber_k(mu + s*Z)] by adaptive QUADPACK, split at the elbows and the root."""
+    def huber(t):
+        a = abs(t)
+        return 0.5 * t * t if a <= k else k * a - 0.5 * k * k
+
+    if s == 0:
+        return huber(mu)
+
+    def integrand(z):
+        return huber(mu + s * z) * math.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
+
+    points = [z for z in ((-k - mu) / s, -mu / s, (k - mu) / s) if -15 < z < 15]
+    value, _ = integrate.quad(integrand, -15, 15, points=points or None, limit=300,
+                              epsabs=1e-13, epsrel=1e-13)
+    return value
+
+
+def quadpack_sum_risk(mu: float, s: float, terms) -> float:
+    """Risk of a sum of c * |t|^p terms, given as (c, p) pairs: by linearity,
+    the sum of the terms' QUADPACK risks."""
+    return sum(c * quadpack_power_risk(mu, s, p) for c, p in terms)
+
+
 def fourth_moment(mu: float, s: float) -> float:
     """E(mu + s*Z)^4 closed form."""
     return mu**4 + 6 * mu**2 * s**2 + 3 * s**4

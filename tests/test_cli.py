@@ -205,6 +205,44 @@ class TestMinimaxCommand:
         assert result["minimax_value"] == pytest.approx(0.9, abs=0.005)
         assert result["converged"] is True
         assert doc["schema"] == "minmax-lab/cli-output/v1"
+        assert result["schema"] == "minmax-lab/minimax-result/v2"
+        worst = result["worst_case"]
+        assert (worst["sup_method"], worst["grid_points"]) == ("endpoints", 2)
+        assert abs(worst["argmax_theta"]) == 3.0
+
+    def test_median_family_is_constant_in_theta(self, write_config, out_dir):
+        cfg = write_config(
+            """
+            [model]
+            n = 5
+
+            [theta]
+            lo = -2
+            hi = 3
+
+            [loss squared]
+            kind = power
+            p = 2
+
+            [family]
+            kind = median_shift
+            beta_lo = -1
+            beta_hi = 1
+
+            [run]
+            seed = 7
+
+            [minimax]
+            loss = squared
+            restarts = 1
+            mc_samples = 2000
+            """
+        )
+        assert main(["minimax", "--config", str(cfg), "--out", str(out_dir)]) == 0
+        worst = json.loads((out_dir / "minimax.json").read_text())["result"]["worst_case"]
+        assert worst["constant_in_theta"] is True
+        assert (worst["sup_method"], worst["grid_points"]) == ("constant", 1)
+        assert worst["argmax_theta"] == 0.5
 
     def test_empty_family_range(self, write_config, out_dir):
         cfg = write_config(

@@ -1,5 +1,6 @@
 """Gradient checks, refutation certificates, sign perturbation, shift-risk."""
 
+import importlib
 import math
 
 import numpy as np
@@ -202,6 +203,29 @@ class TestPartition:
         assert report.witnesses[0].verdict is Verdict.REFUTED
         assert report.classes[0].exponent == 2
         assert report.classes[1].exponent == 4
+
+    def test_each_class_solved_once(self, monkeypatch):
+        solved = []
+        inner = importlib.import_module("minmax_lab.minimax").solve_minimax
+
+        def counting(model, family, loss, theta_interval, opts=None):
+            solved.append(loss)
+            return inner(model, family, loss, theta_interval, opts)
+
+        for name in ("minmax_lab.minimax", "minmax_lab.exclusivity"):
+            monkeypatch.setattr(importlib.import_module(name), "solve_minimax", counting)
+        exponents = (1.5, 2, 4)
+        report = check_exclusivity_partition(M1, FAMILY, exponents, THETA3, FAST)
+        assert solved == [Power(p) for p in exponents]
+
+        # reusing the class solves changes no witness: each equals a
+        # refutation that solves its own p-problem
+        pairs = [(0, 1), (0, 2), (1, 2)]
+        for witness, (i, j) in zip(report.witnesses, pairs):
+            alone = refute_joint_minimaxity(
+                M1, FAMILY, Power(exponents[i]), Power(exponents[j]), THETA3, FAST
+            )
+            assert witness == alone
 
     def test_wide_interval_partition_fails(self):
         report = check_exclusivity_partition(M1, FAMILY, [2, 4], THETA_WIDE, FAST)

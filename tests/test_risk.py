@@ -1,27 +1,66 @@
 """Risk evaluation: quadrature vs oracles, Monte Carlo agreement, worst case."""
 
+import importlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minmax_lab.errors import NonFiniteRiskError, QuadratureUnsupportedError
-from minmax_lab.losses import Power, Scaled, loss_breakpoints, loss_of_error, scale_loss
-from minmax_lab.model import AffineMean, GaussianLocationModel, Interval, SampleMedian
+from minmax_lab.losses import (
+    Huber,
+    Power,
+    Scaled,
+    SumLoss,
+    loss_breakpoints,
+    loss_of_error,
+    scale_loss,
+)
+from minmax_lab.model import (
+    AffineMean,
+    GaussianLocationModel,
+    Interval,
+    SampleMedian,
+    SignPerturbed,
+)
 from minmax_lab.quadrature import node_doubling_gap
 from minmax_lab.risk import (
     MonteCarlo,
     Quadrature,
+    RiskEstimate,
     crosscheck_risk,
     golden_section_max,
     risk,
     worst_case_risk,
 )
 
-from oracles import abs_moment, affine_l2_worst, fourth_moment, quadpack_power_risk
+from oracles import (
+    abs_moment,
+    affine_l2_worst,
+    fourth_moment,
+    quadpack_huber_risk,
+    quadpack_power_risk,
+    quadpack_sum_risk,
+)
 
 M1 = GaussianLocationModel(n=1)
 THETA3 = Interval(-3, 3)
+
+
+@pytest.fixture
+def risk_calls(monkeypatch):
+    """Thetas of every risk() call made through the risk module's global name."""
+    module = importlib.import_module("minmax_lab.risk")
+    inner = module.risk
+    thetas = []
+
+    def counting(model, est, loss, theta, method):
+        thetas.append(theta)
+        return inner(model, est, loss, theta, method)
+
+    monkeypatch.setattr(module, "risk", counting)
+    return thetas
 
 
 class TestQuadratureRisk:
@@ -102,9 +141,10 @@ class TestMonteCarloAgreement:
 
 
 class TestWorstCase:
-    def test_identity_weight_is_flagged_constant(self):
+    def test_identity_weight_is_flagged_constant(self, risk_calls):
         w = worst_case_risk(M1, AffineMean(1, 0), Power(2, 1), THETA3)
-        assert w.constant_in_theta
+        assert risk_calls == [0.0]
+        assert (w.sup_method, w.grid_points, w.constant_in_theta) == ("constant", 1, True)
         assert w.sup_value == pytest.approx(1.0, rel=1e-12)
 
     def test_shrunk_mean_l2(self):
@@ -161,6 +201,97 @@ class TestWorstCase:
     def test_median_needs_explicit_method(self):
         with pytest.raises(QuadratureUnsupportedError):
             worst_case_risk(GaussianLocationModel(n=5), SampleMedian(0.0), Power(2, 1), THETA3)
+
+
+class TestSupMethod:
+    def test_affine_quadrature_evaluates_endpoints_only(self, risk_calls):
+        # mu(theta) = -0.2 * theta - 0.1: 0.3 at theta = -2, -0.7 at theta = 3
+        w = worst_case_risk(M1, AffineMean(0.8, -0.1), Power(3, 1), Interval(-2, 3))
+        assert risk_calls == [-2.0, 3.0]
+        assert (w.sup_method, w.grid_points, w.constant_in_theta) == ("endpoints", 2, False)
+        assert w.argmax_theta == 3.0
+        assert w.sup_value == pytest.approx(quadpack_power_risk(-0.7, 0.8, 3), rel=1e-9)
+
+    def test_endpoint_tie_goes_to_lo(self, monkeypatch):
+        module = importlib.import_module("minmax_lab.risk")
+        monkeypatch.setattr(
+            module, "risk", lambda model, est, loss, theta, method: RiskEstimate(1.0, method)
+        )
+        w = worst_case_risk(M1, AffineMean(0.8, 0), Power(2, 1), THETA3)
+        assert w.argmax_theta == -3.0
+
+    def test_median_is_one_evaluation_at_midpoint(self, risk_calls):
+        model = GaussianLocationModel(n=5)
+        method = MonteCarlo(2_000, seed=1)
+        w = worst_case_risk(model, SampleMedian(0.2), Power(2, 1), Interval(-1, 3), method=method)
+        assert risk_calls == [1.0]
+        assert (w.sup_method, w.grid_points, w.constant_in_theta) == ("constant", 1, True)
+        assert w.argmax_theta == 1.0
+        assert w.sup_value == risk(model, SampleMedian(0.2), Power(2, 1), -0.7, method).value
+
+    def test_sign_perturbed_scans_grid(self, risk_calls):
+        est = SignPerturbed(base=AffineMean(0.9, 0), epsilon=0.1, theta_star=0.5)
+        w = worst_case_risk(M1, est, Power(2, 1), THETA3, grid=16, method=MonteCarlo(2_000, 1))
+        assert (w.sup_method, w.grid_points, w.constant_in_theta) == ("grid", 16, False)
+        assert len(risk_calls) > 16
+
+    def test_affine_monte_carlo_scans_grid(self, risk_calls):
+        w = worst_case_risk(
+            M1, AffineMean(0.8, 0), Power(0.5, 1), THETA3, grid=16, method=MonteCarlo(2_000, 1)
+        )
+        assert (w.sup_method, w.grid_points) == ("grid", 16)
+        assert len(risk_calls) > 16
+
+
+def _power_case(p, c):
+    return Power(p, c), lambda mu, s: c * quadpack_power_risk(mu, s, p)
+
+
+def _huber_case(k):
+    return Huber(k), lambda mu, s: quadpack_huber_risk(mu, s, k)
+
+
+def _scaled_case(factor, p):
+    return Scaled(factor, Power(p, 1)), lambda mu, s: factor * quadpack_power_risk(mu, s, p)
+
+
+def _sum_case(terms):
+    loss = SumLoss([Power(p, c) for c, p in terms])
+    return loss, lambda mu, s: quadpack_sum_risk(mu, s, terms)
+
+
+exponents = st.floats(min_value=0.5, max_value=4.0)
+coefficients = st.floats(min_value=0.1, max_value=3.0)
+loss_cases = st.one_of(
+    st.builds(_power_case, exponents, coefficients),
+    st.builds(_huber_case, st.floats(min_value=0.2, max_value=2.0)),
+    st.builds(_scaled_case, st.floats(min_value=0.1, max_value=10.0), exponents),
+    st.builds(_sum_case, st.lists(st.tuples(coefficients, exponents), min_size=2, max_size=3)),
+)
+
+
+class TestEndpointSupProperty:
+    """Anderson's lemma behind the "endpoints" method, against QUADPACK."""
+
+    @given(
+        gamma=st.floats(min_value=0.0, max_value=1.5),
+        beta=st.floats(min_value=-1.0, max_value=1.0),
+        lo=st.floats(min_value=-4.0, max_value=-0.25),
+        hi=st.floats(min_value=0.25, max_value=4.0),
+        case=loss_cases,
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_dense_scan_never_beats_endpoints(self, gamma, beta, lo, hi, case):
+        loss, oracle = case
+        interval = Interval(lo, hi)
+        w = worst_case_risk(M1, AffineMean(gamma, beta), loss, interval)
+
+        def oracle_at(theta):
+            return oracle((gamma - 1.0) * theta + beta, gamma)
+
+        scan = max(oracle_at(float(t)) for t in np.linspace(lo, hi, 65))
+        assert scan <= w.sup_value * (1 + 1e-9)
+        assert w.sup_value == pytest.approx(max(oracle_at(lo), oracle_at(hi)), rel=1e-8)
 
 
 class TestGoldenSection:
