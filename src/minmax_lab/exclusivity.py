@@ -27,7 +27,6 @@ from typing import Literal, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._parallel import map_ordered
 from .errors import ExponentPreconditionError, InsufficientClassesError
 from .losses import LossSpec, Power, classify_exponent, loss_of_error
 from .model import (
@@ -395,15 +394,13 @@ def check_exclusivity_partition(
         for p, r in zip(exponents, report.results)
     )
 
-    pairs = [(i, j) for i in range(len(losses)) for j in range(len(losses)) if i < j]
     witnesses = tuple(
-        map_ordered(
-            lambda ij: refute_joint_minimaxity(
-                model, family, losses[ij[0]], losses[ij[1]], theta_interval, opts,
-                p_solution=report.results[ij[0]],
-            ),
-            pairs,
+        refute_joint_minimaxity(
+            model, family, losses[i], losses[j], theta_interval, opts,
+            p_solution=report.results[i],
         )
+        for i in range(len(losses))
+        for j in range(i + 1, len(losses))
     )
     return PartitionReport(
         classes=classes,

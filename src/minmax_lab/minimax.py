@@ -16,7 +16,6 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 from scipy.optimize import minimize as scipy_minimize
 
-from ._parallel import map_ordered
 from .errors import InsufficientLossesError
 from .losses import LossSpec
 from .model import (
@@ -189,7 +188,7 @@ def solve_minimax(
             },
         )
 
-    results = map_ordered(run_one, _start_points(family, opts))
+    results = [run_one(x0) for x0 in _start_points(family, opts)]
     order = sorted(range(len(results)), key=lambda i: (results[i].fun, tuple(results[i].x)))
     best = results[order[0]]
     agreement = max(
@@ -237,10 +236,7 @@ def realizability_report(
     if opts is None:
         opts = SolveOptions()
     results = tuple(
-        map_ordered(
-            lambda loss: solve_minimax(model, family, loss, theta_interval, opts),
-            losses,
-        )
+        solve_minimax(model, family, loss, theta_interval, opts) for loss in losses
     )
     pts = [np.asarray(r.best_params) for r in results]
     distances = tuple(

@@ -15,8 +15,8 @@ method, and records which one it used (`WorstCaseResult.sup_method`):
   * "endpoints": an affine rule under quadrature has the exactly Gaussian
     error mu(theta) + s*Z with mu affine in theta.  Every loss here is even
     and nondecreasing in |t|, so by Anderson's lemma the risk is
-    nondecreasing in |mu| and the exact sup sits at an interval endpoint.
-    Two evaluations.
+    nondecreasing in |mu| and the exact sup sits at the interval endpoint
+    with the larger |mu|.  One evaluation, at that endpoint.
   * "grid": everything else (SignPerturbed rules, and affine rules under
     Monte Carlo, whose common-random-number surface need not peak at an
     endpoint) scans an even theta grid and refines around the best grid
@@ -90,7 +90,8 @@ class WorstCaseResult:
 
     `sup_method` is "constant", "endpoints" or "grid" (see the module
     docstring); `grid_points` is the number of theta values that method
-    scanned before any golden-section refinement: 1, 2 or the grid size.
+    considered before any golden-section refinement: 1, the two endpoint
+    candidates compared, or the grid size.
     """
 
     sup_value: float
@@ -254,10 +255,10 @@ def worst_case_risk(
 
     if isinstance(est, AffineMean) and isinstance(method, Quadrature):
         lo, hi = theta_interval.lo, theta_interval.hi
-        at_lo, at_hi = risk_at(lo), risk_at(hi)
-        # ties go to lo, the first index np.argmax would pick
-        best_theta, best_value = (hi, at_hi) if at_hi > at_lo else (lo, at_lo)
-        return WorstCaseResult(best_value, best_theta, 2, refine_tol, "endpoints")
+        # the risk is nondecreasing in |mu(theta)|; ties go to lo
+        mu_lo, mu_hi = error_law(model, est, lo).mu, error_law(model, est, hi).mu
+        best_theta = hi if abs(mu_hi) > abs(mu_lo) else lo
+        return WorstCaseResult(risk_at(best_theta), best_theta, 2, refine_tol, "endpoints")
 
     thetas = np.linspace(theta_interval.lo, theta_interval.hi, grid)
     values = np.array([risk_at(t) for t in thetas])

@@ -11,11 +11,20 @@ import math
 import numpy as np
 from scipy import integrate
 from scipy.special import gamma as gamma_fn
+from scipy.special import hyp1f1
 
 
 def abs_moment(q: float) -> float:
     """E|Z|^q for standard normal Z, closed form."""
     return 2 ** (q / 2) * gamma_fn((q + 1) / 2) / math.sqrt(math.pi)
+
+
+def closed_form_power_risk(mu: float, s: float, p: float) -> float:
+    """E|mu + s*Z|^p in closed form (Winkelbauer 2012, arXiv:1209.4340):
+    s^p * E|Z|^p * 1F1(-p/2; 1/2; -mu^2 / (2 s^2))."""
+    if s == 0:
+        return abs(mu) ** p
+    return s**p * abs_moment(p) * float(hyp1f1(-p / 2, 0.5, -mu * mu / (2 * s * s)))
 
 
 def quadpack_power_risk(mu: float, s: float, p: float) -> float:

@@ -77,13 +77,6 @@ class TestAffineMinimax:
         assert a.best_params == b.best_params
         assert a.minimax_value == b.minimax_value
 
-    def test_thread_cap_does_not_change_results(self, monkeypatch):
-        serial = solve_minimax(M1, FAMILY, Power(2, 1), THETA3, FAST)
-        monkeypatch.setenv("MINMAX_LAB_THREADS", "3")
-        threaded = solve_minimax(M1, FAMILY, Power(2, 1), THETA3, FAST)
-        assert threaded.best_params == serial.best_params
-        assert threaded.minimax_value == serial.minimax_value
-
 
 class TestMedianShift:
     def test_symmetric_loss_centers_the_shift(self):

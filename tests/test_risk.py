@@ -38,6 +38,7 @@ from minmax_lab.risk import (
 from oracles import (
     abs_moment,
     affine_l2_worst,
+    closed_form_power_risk,
     fourth_moment,
     quadpack_huber_risk,
     quadpack_power_risk,
@@ -105,6 +106,18 @@ class TestQuadratureRisk:
     def test_empirical_law_unsupported(self):
         with pytest.raises(QuadratureUnsupportedError):
             risk(GaussianLocationModel(n=5), SampleMedian(0.0), Power(2, 1), 0.0, Quadrature())
+
+    @given(
+        mu=st.floats(min_value=-30.0, max_value=30.0),
+        log_s=st.floats(min_value=math.log(1e-3), max_value=math.log(2.0)),
+        p=st.floats(min_value=0.5, max_value=4.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_power_risk_matches_closed_form(self, mu, log_s, p):
+        # AffineMean(s, mu) at theta = 0 has error mu + s*Z
+        s = math.exp(log_s)
+        r = risk(M1, AffineMean(s, mu), Power(p, 1), 0.0, Quadrature())
+        assert r.value == pytest.approx(closed_form_power_risk(mu, s, p), rel=1e-12)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_nonfinite_risk_raises(self):
@@ -207,7 +220,7 @@ class TestSupMethod:
     def test_affine_quadrature_evaluates_endpoints_only(self, risk_calls):
         # mu(theta) = -0.2 * theta - 0.1: 0.3 at theta = -2, -0.7 at theta = 3
         w = worst_case_risk(M1, AffineMean(0.8, -0.1), Power(3, 1), Interval(-2, 3))
-        assert risk_calls == [-2.0, 3.0]
+        assert risk_calls == [3.0]
         assert (w.sup_method, w.grid_points, w.constant_in_theta) == ("endpoints", 2, False)
         assert w.argmax_theta == 3.0
         assert w.sup_value == pytest.approx(quadpack_power_risk(-0.7, 0.8, 3), rel=1e-9)
@@ -219,6 +232,38 @@ class TestSupMethod:
         )
         w = worst_case_risk(M1, AffineMean(0.8, 0), Power(2, 1), THETA3)
         assert w.argmax_theta == -3.0
+
+    def test_endpoints_is_one_risk_call(self, risk_calls):
+        worst_case_risk(M1, AffineMean(0.6, 0.4), Huber(1.0), Interval(-1, 2))
+        assert len(risk_calls) == 1
+
+    def test_endpoint_with_larger_abs_mu_is_lo(self, risk_calls):
+        # mu(theta) = -0.2 * theta + 0.1: 0.9 at theta = -4, -0.3 at theta = 2
+        w = worst_case_risk(M1, AffineMean(0.8, 0.1), Power(2, 1), Interval(-4, 2))
+        assert risk_calls == [-4.0]
+        assert w.argmax_theta == -4.0
+        assert w.sup_value == pytest.approx(0.9**2 + 0.8**2, rel=1e-12)
+
+    def test_abs_mu_tie_evaluates_lo(self, risk_calls):
+        # mu(theta) = -0.5 * theta: 1.5 at theta = -3, -1.5 at theta = 3
+        w = worst_case_risk(M1, AffineMean(0.5, 0), Power(1.5, 1), THETA3)
+        assert risk_calls == [-3.0]
+        assert (w.argmax_theta, w.grid_points) == (-3.0, 2)
+
+    @given(
+        gamma=st.floats(min_value=0.0, max_value=1.5),
+        beta=st.floats(min_value=-1.0, max_value=1.0),
+        lo=st.floats(min_value=-4.0, max_value=-0.25),
+        hi=st.floats(min_value=0.25, max_value=4.0),
+        case=st.deferred(lambda: loss_cases),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_sup_is_the_larger_endpoint_risk(self, gamma, beta, lo, hi, case):
+        loss, _ = case
+        est = AffineMean(gamma, beta)
+        w = worst_case_risk(M1, est, loss, Interval(lo, hi))
+        at = [risk(M1, est, loss, t, Quadrature()).value for t in (lo, hi)]
+        assert w.sup_value == pytest.approx(max(at), rel=1e-12)
 
     def test_median_is_one_evaluation_at_midpoint(self, risk_calls):
         model = GaussianLocationModel(n=5)
