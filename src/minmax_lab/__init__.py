@@ -21,10 +21,7 @@ from .errors import (
     QuadratureUnsupportedError,
 )
 from .model import (
-    WIDE_THETA,
-    AffineGaussian,
     AffineMean,
-    Empirical,
     EstimatorSpec,
     GaussianLocationModel,
     Interval,
@@ -32,7 +29,6 @@ from .model import (
     SignPerturbed,
     derive_seed,
     error_law,
-    simulate_estimates,
 )
 from .losses import (
     ExponentClassification,
@@ -42,9 +38,7 @@ from .losses import (
     Scaled,
     SumLoss,
     classify_exponent,
-    eval_loss,
     loss_of_error,
-    same_class,
     scale_loss,
 )
 from .risk import (
@@ -96,15 +90,11 @@ __all__ = [
     # model
     "GaussianLocationModel",
     "Interval",
-    "WIDE_THETA",
     "AffineMean",
     "SampleMedian",
     "SignPerturbed",
     "EstimatorSpec",
-    "AffineGaussian",
-    "Empirical",
     "error_law",
-    "simulate_estimates",
     "derive_seed",
     # losses
     "Power",
@@ -113,11 +103,9 @@ __all__ = [
     "Huber",
     "LossSpec",
     "ExponentClassification",
-    "eval_loss",
     "loss_of_error",
     "scale_loss",
     "classify_exponent",
-    "same_class",
     # risk
     "Quadrature",
     "MonteCarlo",

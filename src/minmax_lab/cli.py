@@ -24,7 +24,7 @@ import io
 import os
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -123,22 +123,19 @@ def _require_seed(seed: Optional[int], why: str) -> int:
     return seed
 
 
-def _solve_options(view: Optional[SectionView], seed: Optional[int]) -> SolveOptions:
-    base = SolveOptions(seed=0 if seed is None else seed)
-    if view is None:
-        return base
-    return replace(
-        base,
-        restarts=view.int("restarts", base.restarts),
-        xatol=view.float("xatol", base.xatol),
-        fatol=view.float("fatol", base.fatol),
-        maxiter=view.int("maxiter", base.maxiter),
-        agreement_tol=view.float("agreement_tol", base.agreement_tol),
-        grid=view.int("grid", base.grid),
-        refine_tol=view.float("refine_tol", base.refine_tol),
-        quad_nodes=view.int("quad_nodes", base.quad_nodes),
-        mc_samples=view.int("mc_samples", base.mc_samples),
-    )
+def _read_options(view: SectionView, base, skip: str):
+    """`base` with each of its dataclass fields but `skip` that the section
+    sets, read as an int or a float after the type of the field's default."""
+    changes = {}
+    for f in fields(base):
+        if f.name != skip and view.has(f.name):
+            read = view.int if isinstance(getattr(base, f.name), int) else view.float
+            changes[f.name] = read(f.name)
+    return replace(base, **changes)
+
+
+def _solve_options(view: SectionView, seed: Optional[int]) -> SolveOptions:
+    return _read_options(view, SolveOptions(seed=0 if seed is None else seed), skip="seed")
 
 
 def cmd_risk(cfg: RunConfig, args, out_dir: Path, seed: Optional[int]) -> int:
@@ -201,16 +198,7 @@ def cmd_exclusivity(cfg: RunConfig, args, out_dir: Path, seed: Optional[int]) ->
         raise ConfigError("missing [family] section (exclusivity needs a family)")
     if isinstance(cfg.family, MedianShiftFamily):
         seed = _require_seed(seed, "when the family risk is Monte Carlo (median_shift)")
-    solve_opts = _solve_options(view, seed)
-    opts = RefuteOptions(
-        solve=solve_opts,
-        fd_step=view.float("fd_step", RefuteOptions.fd_step),
-        alpha0=view.float("alpha0", RefuteOptions.alpha0),
-        halvings=view.int("halvings", RefuteOptions.halvings),
-        taylor_points=view.int("taylor_points", RefuteOptions.taylor_points),
-        stationarity_rtol=view.float("stationarity_rtol", RefuteOptions.stationarity_rtol),
-        min_exponent_gap=view.float("min_exponent_gap", RefuteOptions.min_exponent_gap),
-    )
+    opts = _read_options(view, RefuteOptions(solve=_solve_options(view, seed)), skip="solve")
     report = check_exclusivity_partition(
         cfg.model, cfg.family, exponents, cfg.theta_interval, opts
     )

@@ -99,11 +99,6 @@ def loss_of_error(loss: LossSpec, t) -> np.ndarray:
     raise TypeError(f"not a loss spec: {loss!r}")
 
 
-def eval_loss(loss: LossSpec, theta: float, a: float) -> float:
-    """L(theta, a) at a single point."""
-    return float(loss_of_error(loss, float(theta) - float(a)))
-
-
 def loss_breakpoints(loss: LossSpec) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
     """Error values where the loss is not smooth.
 
@@ -193,16 +188,3 @@ def classify_exponent(
         fit_residual=residual,
     )
 
-
-def same_class(
-    loss1: LossSpec,
-    loss2: LossSpec,
-    tol: float,
-    window: Tuple[float, float] = DEFAULT_WINDOW,
-) -> bool:
-    """True when the fitted local exponents agree within tol on a shared window."""
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    c1 = classify_exponent(loss1, window=window)
-    c2 = classify_exponent(loss2, window=window)
-    return abs(c1.p_hat - c2.p_hat) <= tol

@@ -1,9 +1,14 @@
-"""Gaussian location model, estimator specifications, and error laws.
+"""Gaussian location model, estimator specifications, and their errors.
 
 Estimators are plain data (parameter records), never callables, so a rule
 that peeks at the true location cannot be expressed at all: the oracle rule
 is excluded by construction.  Everything here is a pure function of its
 inputs plus an explicit seed.
+
+The error delta(X) - theta of a rule is available in two forms: seeded
+draws for every rule (`error_draws`), and, for the affine-in-mean rules
+only, the exact Gaussian law mu + s*Z as the plain pair (mu, s)
+(`error_law`).  `error_law` alone decides which rules have such a law.
 """
 
 from __future__ import annotations
@@ -11,20 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
+from typing import Tuple, Union
 
 import numpy as np
 
-from .errors import OracleEstimatorError
-
-#: Default sample count for empirical error laws (the representation
-#: contract requires at least this many draws).
-EMPIRICAL_MIN_SAMPLES = 10_000
-
-#: Wide-interval proxy used when the parameter range is "effectively all
-#: of the real line".  Exact for location-equivariant rules, whose risk
-#: does not depend on theta.
-WIDE_THETA = (-50.0, 50.0)
+from .errors import OracleEstimatorError, QuadratureUnsupportedError
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -149,45 +145,6 @@ def check_estimator(est) -> EstimatorSpec:
     return est
 
 
-@dataclass(frozen=True)
-class AffineGaussian:
-    """Exact error law: delta - theta distributed as mu + s * Z, Z ~ N(0,1)."""
-
-    mu: float
-    s: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "mu", _require_finite("mu", self.mu))
-        object.__setattr__(self, "s", _require_finite("s", self.s))
-        if self.s < 0:
-            raise ValueError(f"s must be >= 0, got {self.s}")
-
-
-@dataclass(frozen=True, eq=False)
-class Empirical:
-    """Simulated error law: seeded draws of delta - theta.
-
-    Compared by identity: the samples array makes generated equality
-    meaningless.
-    """
-
-    samples: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float)
-        if samples.size < EMPIRICAL_MIN_SAMPLES:
-            raise ValueError(
-                f"empirical law needs >= {EMPIRICAL_MIN_SAMPLES} samples, got {samples.size}"
-            )
-        samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "seed", int(self.seed))
-
-
-ErrorLaw = Union[AffineGaussian, Empirical]
-
-
 def derive_seed(master_seed: int, *counters: int) -> int:
     """Derive an independent per-task seed from a master seed.
 
@@ -244,35 +201,27 @@ def error_draws(
     return base_err + est.epsilon * np.sign(est.theta_star - base_val)
 
 
-def simulate_estimates(
-    model: GaussianLocationModel,
-    est: EstimatorSpec,
-    theta: float,
-    count: int,
-    seed: int,
-) -> np.ndarray:
-    """Seeded draws of the estimate delta(X) under the model at theta."""
-    return float(theta) + error_draws(model, est, theta, count, seed)
-
-
 def error_law(
     model: GaussianLocationModel,
     est: EstimatorSpec,
     theta: float,
-    count: int = 50_000,
-    seed: int = 0,
-) -> ErrorLaw:
-    """Law of delta(X) - theta: exact for affine-in-mean rules, else simulated.
+) -> Tuple[float, float]:
+    """Exact law of delta(X) - theta as the pair (mu, s): the error is
+    mu + s * Z with Z ~ N(0, 1).
 
     For AffineMean(gamma, beta) the error is (gamma-1)*theta + beta plus
-    gamma * sigma/sqrt(n) times a standard normal, with no simulation.
-    The scale is reported as |gamma| * sigma/sqrt(n); the symmetric normal
-    makes this the same law as the signed version.
+    gamma * sigma/sqrt(n) times a standard normal.  The scale is reported as
+    |gamma| * sigma/sqrt(n); the symmetric normal makes this the same law as
+    the signed version.  No other rule has an exact Gaussian error, so any
+    other spec raises QuadratureUnsupportedError.  An overflow comes back as
+    an infinite mu or s; the risk is then not finite, and `risk.risk`
+    reports that as NonFiniteRiskError.
     """
     check_estimator(est)
-    theta = float(theta)
-    if isinstance(est, AffineMean):
-        mu = (est.gamma - 1.0) * theta + est.beta
-        return AffineGaussian(mu=mu, s=abs(est.gamma) * model.mean_sd)
-    count = max(int(count), EMPIRICAL_MIN_SAMPLES)
-    return Empirical(samples=error_draws(model, est, theta, count, seed), seed=seed)
+    if not isinstance(est, AffineMean):
+        raise QuadratureUnsupportedError(
+            f"{type(est).__name__} has no exact Gaussian error law; "
+            "use a MonteCarlo method"
+        )
+    mu = (est.gamma - 1.0) * float(theta) + est.beta
+    return mu, abs(est.gamma) * model.mean_sd

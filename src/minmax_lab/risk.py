@@ -1,10 +1,12 @@
 """Pointwise risk and worst-case risk over a parameter interval.
 
 Risk at theta is E[L(theta, delta(X))] under the model at theta.  For
-affine-in-mean estimators the error law is exactly Gaussian, so the
-expectation is a segmented Gauss-Legendre integral (machine precision at
-the default 200 nodes; see quadrature.py).  Every other estimator is
-handled by seeded Monte Carlo.
+affine-in-mean estimators the error is exactly mu + s*Z with Z standard
+normal; `model.error_law` gives the pair (mu, s), and the expectation is a
+segmented Gauss-Legendre integral (machine precision at the default 200
+nodes; see quadrature.py).  Every other estimator has no such law, so
+Quadrature raises QuadratureUnsupportedError for it and it is handled by
+seeded Monte Carlo.
 
 Worst-case risk picks its sup method from the estimator and the risk
 method, and records which one it used (`WorstCaseResult.sup_method`):
@@ -14,9 +16,10 @@ method, and records which one it used (`WorstCaseResult.sup_method`):
     One evaluation at the interval midpoint.
   * "endpoints": an affine rule under quadrature has the exactly Gaussian
     error mu(theta) + s*Z with mu affine in theta.  Every loss here is even
-    and nondecreasing in |t|, so by Anderson's lemma the risk is
-    nondecreasing in |mu| and the exact sup sits at the interval endpoint
-    with the larger |mu|.  One evaluation, at that endpoint.
+    and nondecreasing in |t|, so by Anderson's lemma the risk depends on mu
+    only through |mu| and is nondecreasing in it: the exact sup sits at the
+    interval endpoint with the larger |mu|.  One evaluation, at that
+    endpoint.
   * "grid": everything else (SignPerturbed rules, and affine rules under
     Monte Carlo, whose common-random-number surface need not peak at an
     endpoint) scans an even theta grid and refines around the best grid
@@ -27,19 +30,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Tuple, Union
 
 import numpy as np
 
-from .errors import NonFiniteRiskError, QuadratureUnsupportedError
+from .errors import NonFiniteRiskError
 from .losses import LossSpec, loss_breakpoints, loss_of_error
 from .model import (
-    AffineGaussian,
     AffineMean,
     EstimatorSpec,
     GaussianLocationModel,
     Interval,
     SampleMedian,
+    _require_finite,
     check_estimator,
     error_draws,
     error_law,
@@ -80,7 +83,6 @@ RiskMethod = Union[Quadrature, MonteCarlo]
 @dataclass(frozen=True)
 class RiskEstimate:
     value: float
-    method: RiskMethod
     std_error: float = 0.0
 
 
@@ -118,38 +120,32 @@ def risk(
     theta: float,
     method: RiskMethod,
 ) -> RiskEstimate:
-    """E[L(theta, delta(X))] at a single theta."""
-    check_estimator(est)
-    theta = float(theta)
+    """E[L(theta, delta(X))] at a single theta.
+
+    A non-finite theta is a ValueError under either method; a risk that is
+    not finite (including one from an overflowing error law) is a
+    NonFiniteRiskError.
+    """
+    theta = _require_finite("theta", theta)
     if isinstance(method, Quadrature):
-        if not isinstance(est, AffineMean):
-            raise QuadratureUnsupportedError(
-                f"{type(est).__name__} has no exact Gaussian error law; "
-                "use a MonteCarlo method"
-            )
-        law = error_law(model, est, theta)
-        assert isinstance(law, AffineGaussian)
+        mu, s = error_law(model, est, theta)
         kinks, roots = loss_breakpoints(loss)
         # the loss argument is theta - delta = -(error); all losses here are
         # even in the error, but keep the sign for generality
         value = gaussian_expectation(
             lambda t: loss_of_error(loss, -t),
-            law.mu,
-            law.s,
+            mu,
+            s,
             method.nodes,
             kinks=tuple(-k for k in kinks),
             roots=tuple(-r for r in roots),
         )
-        return RiskEstimate(value=_checked(value, f"theta={theta}"), method=method)
+        return RiskEstimate(_checked(value, f"theta={theta}"))
     errs = error_draws(model, est, theta, method.samples, method.seed)
     losses = loss_of_error(loss, -errs)
     value = _checked(float(np.mean(losses)), f"theta={theta}")
     sd = float(np.std(losses, ddof=1)) if method.samples > 1 else 0.0
-    return RiskEstimate(
-        value=value,
-        method=method,
-        std_error=sd / math.sqrt(method.samples),
-    )
+    return RiskEstimate(value, sd / math.sqrt(method.samples))
 
 
 def crosscheck_risk(
@@ -210,17 +206,6 @@ def golden_section_max(
     return (c, yc) if yc > yd else (d, yd)
 
 
-def default_method(est: EstimatorSpec, mc: Optional[MonteCarlo] = None) -> RiskMethod:
-    """Quadrature for affine-in-mean rules, otherwise the supplied MC method."""
-    if isinstance(est, AffineMean):
-        return Quadrature()
-    if mc is None:
-        raise QuadratureUnsupportedError(
-            f"{type(est).__name__} needs a MonteCarlo method (samples + seed)"
-        )
-    return mc
-
-
 def worst_case_risk(
     model: GaussianLocationModel,
     est: EstimatorSpec,
@@ -228,7 +213,7 @@ def worst_case_risk(
     theta_interval: Interval,
     grid: int = DEFAULT_GRID,
     refine_tol: float = DEFAULT_REFINE_TOL,
-    method: Optional[RiskMethod] = None,
+    method: RiskMethod = Quadrature(),
 ) -> WorstCaseResult:
     """sup over theta_interval of the risk, by the method the estimator's
     structure allows (see the module docstring).
@@ -236,15 +221,15 @@ def worst_case_risk(
     With a MonteCarlo method the same seed is reused at every theta (common
     random numbers), so the scanned function is a fixed deterministic
     surface and the supremum is well defined.  `grid` and `refine_tol` are
-    validated on every call but used only by the grid scan.
+    validated on every call but used only by the grid scan.  The default
+    Quadrature method serves affine rules only; any other rule needs a
+    MonteCarlo method and raises QuadratureUnsupportedError without one.
     """
     check_estimator(est)
     if grid < 16:
         raise ValueError(f"grid must be >= 16, got {grid}")
     if refine_tol <= 0:
         raise ValueError(f"refine_tol must be > 0, got {refine_tol}")
-    if method is None:
-        method = default_method(est)
 
     def risk_at(theta: float) -> float:
         return risk(model, est, loss, theta, method).value
@@ -256,7 +241,7 @@ def worst_case_risk(
     if isinstance(est, AffineMean) and isinstance(method, Quadrature):
         lo, hi = theta_interval.lo, theta_interval.hi
         # the risk is nondecreasing in |mu(theta)|; ties go to lo
-        mu_lo, mu_hi = error_law(model, est, lo).mu, error_law(model, est, hi).mu
+        mu_lo, mu_hi = error_law(model, est, lo)[0], error_law(model, est, hi)[0]
         best_theta = hi if abs(mu_hi) > abs(mu_lo) else lo
         return WorstCaseResult(risk_at(best_theta), best_theta, 2, refine_tol, "endpoints")
 

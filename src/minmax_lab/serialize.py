@@ -11,7 +11,7 @@ from typing import Any, Dict, Optional
 
 from .exclusivity import LadderPoint, PartitionReport, RefutationCertificate
 from .minimax import MinimaxResult
-from .risk import MonteCarlo, Quadrature, RiskEstimate, RiskMethod, WorstCaseResult
+from .risk import WorstCaseResult
 
 MINIMAX_SCHEMA = "minmax-lab/minimax-result/v2"
 CERTIFICATE_SCHEMA = "minmax-lab/refutation-certificate/v1"
@@ -20,22 +20,6 @@ PARTITION_SCHEMA = "minmax-lab/partition-report/v1"
 
 def _opt(x: Optional[float]) -> Optional[float]:
     return None if x is None else float(x)
-
-
-def method_to_dict(method: RiskMethod) -> Dict[str, Any]:
-    if isinstance(method, Quadrature):
-        return {"kind": "quadrature", "nodes": method.nodes}
-    if isinstance(method, MonteCarlo):
-        return {"kind": "monte_carlo", "samples": method.samples, "seed": method.seed}
-    raise TypeError(f"not a risk method: {method!r}")
-
-
-def risk_estimate_to_dict(r: RiskEstimate) -> Dict[str, Any]:
-    return {
-        "value": float(r.value),
-        "std_error": float(r.std_error),
-        "method": method_to_dict(r.method),
-    }
 
 
 def worst_case_to_dict(w: WorstCaseResult) -> Dict[str, Any]:

@@ -157,6 +157,39 @@ class TestRiskCommand:
         _, rows_b = read_csv(other / "risk.csv")
         assert rows_a[1][1] != rows_b[1][1]
 
+    @pytest.mark.parametrize("method", ["quadrature", "monte_carlo"])
+    def test_infinite_theta_is_config_error(self, write_config, out_dir, capsys, method):
+        cfg = write_config(
+            BASE,
+            f"""
+            [risk]
+            estimator = mean
+            loss = squared
+            thetas = 0, inf
+            method = {method}
+            samples = 1000
+            """
+        )
+        assert main(["risk", "--config", str(cfg), "--out", str(out_dir)]) == 2
+        assert "theta must be finite" in capsys.readouterr().err
+
+    def test_overflowing_error_law_is_numerical_error(self, write_config, out_dir):
+        # finite inputs, but mu = (gamma - 1) * theta overflows to inf
+        cfg = write_config(
+            BASE,
+            """
+            [estimator huge]
+            kind = affine_mean
+            gamma = 1e300
+
+            [risk]
+            estimator = huge
+            loss = squared
+            thetas = 1e10
+            """
+        )
+        assert main(["risk", "--config", str(cfg), "--out", str(out_dir)]) == 3
+
 
 MM_BASE = """
     [model]
@@ -268,6 +301,24 @@ class TestMinimaxCommand:
         assert main(["minimax", "--config", str(cfg), "--out", str(out_dir)]) == 0
         assert main(["minimax", "--config", str(cfg), "--out", str(other)]) == 0
         assert (out_dir / "minimax.json").read_bytes() == (other / "minimax.json").read_bytes()
+
+    def test_nonconverged_exits_4_and_still_writes(self, write_config, out_dir, tmp_path):
+        cfg = write_config(
+            MM_BASE,
+            """
+            [minimax]
+            loss = squared
+            restarts = 2
+            grid = 32
+            maxiter = 1
+            """
+        )
+        assert main(["minimax", "--config", str(cfg), "--out", str(out_dir)]) == 4
+        assert json.loads((out_dir / "minimax.json").read_text())["result"]["converged"] is False
+        other = tmp_path / "out2"
+        argv = ["minimax", "--config", str(cfg), "--out", str(other), "--allow-nonconverged"]
+        assert main(argv) == 0
+        assert (other / "minimax.json").read_bytes() == (out_dir / "minimax.json").read_bytes()
 
 
 class TestExclusivityCommand:

@@ -10,8 +10,7 @@ from minmax_lab.losses import (
     Scaled,
     SumLoss,
     classify_exponent,
-    eval_loss,
-    same_class,
+    loss_of_error,
     scale_loss,
 )
 
@@ -33,39 +32,39 @@ any_loss = st.sampled_from(
 
 class TestEval:
     def test_power(self):
-        assert eval_loss(Power(2, 1), theta=3, a=1) == 4
+        assert loss_of_error(Power(2, 1), 3 - 1) == 4
 
     def test_huber_quadratic_branch(self):
-        assert eval_loss(Huber(1), theta=0, a=0.5) == pytest.approx(0.125, abs=1e-15)
+        assert loss_of_error(Huber(1), 0 - 0.5) == pytest.approx(0.125, abs=1e-15)
 
     def test_huber_linear_branch(self):
         # k|t| - k^2/2 at t = 2, k = 1
-        assert eval_loss(Huber(1), theta=0, a=2.0) == pytest.approx(1.5, abs=1e-15)
+        assert loss_of_error(Huber(1), 0 - 2.0) == pytest.approx(1.5, abs=1e-15)
 
     def test_sum(self):
         loss = SumLoss((Power(1.5, 3), Power(3, 1)))
-        assert eval_loss(loss, theta=0, a=1) == pytest.approx(4.0, abs=1e-12)
+        assert loss_of_error(loss, 0 - 1) == pytest.approx(4.0, abs=1e-12)
 
     @given(loss=any_loss, theta=finite_theta, a=finite_theta)
     @settings(max_examples=300, deadline=None)
     def test_nonnegative_and_zero_on_diagonal(self, loss, theta, a):
-        assert eval_loss(loss, theta, a) >= 0
-        assert eval_loss(loss, theta, theta) == 0
+        assert loss_of_error(loss, theta - a) >= 0
+        assert loss_of_error(loss, theta - theta) == 0
 
     @given(loss=any_loss, theta=finite_theta, a=finite_theta)
     @settings(max_examples=300, deadline=None)
     def test_symmetric_in_error(self, loss, theta, a):
-        assert eval_loss(loss, theta, a) == eval_loss(loss, a, theta)
+        assert loss_of_error(loss, theta - a) == loss_of_error(loss, a - theta)
 
 
 class TestScaling:
     def test_scale_power(self):
         scaled = scale_loss(Power(2, 1), 3.0)
-        assert eval_loss(scaled, 2, 0) == pytest.approx(12.0, abs=1e-15)
+        assert loss_of_error(scaled, 2 - 0) == pytest.approx(12.0, abs=1e-15)
 
     def test_scale_huber(self):
         scaled = scale_loss(Huber(1), 2.0)
-        assert eval_loss(scaled, 0.5, 0) == pytest.approx(0.25, abs=1e-15)
+        assert loss_of_error(scaled, 0.5 - 0) == pytest.approx(0.25, abs=1e-15)
 
     def test_negative_factor_rejected(self):
         with pytest.raises(NonPositiveScaleError):
@@ -76,8 +75,8 @@ class TestScaling:
     @given(loss=any_loss, factor=st.floats(min_value=0.01, max_value=100), t=finite_theta)
     @settings(max_examples=200, deadline=None)
     def test_scaling_is_pointwise(self, loss, factor, t):
-        assert eval_loss(scale_loss(loss, factor), t, 0) == pytest.approx(
-            factor * eval_loss(loss, t, 0), rel=1e-12
+        assert loss_of_error(scale_loss(loss, factor), t) == pytest.approx(
+            factor * loss_of_error(loss, t), rel=1e-12
         )
 
 
@@ -128,15 +127,15 @@ class TestClassifier:
 
 
 class TestSameClass:
+    # two losses share a power class when their fitted exponents agree to 0.05
     def test_scaling_preserves_class(self):
-        assert same_class(Power(2, 1), Scaled(5, Power(2, 1)), tol=0.05)
+        p_hat = classify_exponent(Power(2, 1)).p_hat
+        assert classify_exponent(Scaled(5, Power(2, 1))).p_hat == pytest.approx(p_hat, abs=0.05)
 
     def test_distinct_exponents(self):
-        assert not same_class(Power(2, 1), Power(2.5, 1), tol=0.05)
+        p_hat = classify_exponent(Power(2, 1)).p_hat
+        assert classify_exponent(Power(2.5, 1)).p_hat != pytest.approx(p_hat, abs=0.05)
 
     def test_huber_matches_quadratic(self):
-        assert same_class(Huber(1), Power(2, 4), tol=0.05)
-
-    def test_tol_must_be_positive(self):
-        with pytest.raises(ValueError):
-            same_class(Power(2, 1), Power(2, 1), tol=0.0)
+        p_hat = classify_exponent(Power(2, 4)).p_hat
+        assert classify_exponent(Huber(1)).p_hat == pytest.approx(p_hat, abs=0.05)
