@@ -1,20 +1,27 @@
 """Smallest worst-case risk over a parametric estimator family.
 
-The objective params -> sup_theta risk is only piecewise smooth (the inner
-argmax jumps between interval endpoints), so the outer search is
-derivative-free: Nelder-Mead simplex descent with random restarts, the
-smallest value winning with a lexicographic tie-break on parameters.
-Results are family-relative: a minimizer over the given parameter box, not
-a claim about all measurable decision rules.
+Every family here has one free coordinate, the first of its parameters, so
+the outer problem is a bounded scalar search.  AffineMeanFamily searches
+gamma: by Anderson's lemma the worst case of gamma * mean(X) + beta depends
+on beta only through max |(gamma - 1) * theta + beta| over the two ends of
+the theta interval, which beta*(gamma) = (1 - gamma) * mid, clipped to the
+beta range, minimizes for every loss.  MedianShiftFamily searches its shift.
+
+The search is scipy's bounded Brent method (Brent 1973).  It stops within
+xatol of the minimum, so its point is compared with the family's
+breakpoints (range ends and kinks of the profile), and the smallest value
+wins: an optimum on a box face or at a kink comes out exactly.  Results
+are family-relative: a minimizer over the given parameter box, not a claim
+about all measurable decision rules.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.optimize import minimize as scipy_minimize
+from scipy.optimize import minimize_scalar as scipy_minimize
 
 from .errors import InsufficientLossesError
 from .losses import LossSpec
@@ -27,8 +34,6 @@ from .model import (
     derive_seed,
 )
 from .risk import (
-    DEFAULT_GRID,
-    DEFAULT_REFINE_TOL,
     MonteCarlo,
     Quadrature,
     RiskMethod,
@@ -45,16 +50,32 @@ class AffineMeanFamily:
     beta_range: Interval
 
     @property
-    def param_names(self) -> Tuple[str, ...]:
-        return ("gamma", "beta")
-
-    @property
     def bounds(self) -> Tuple[Interval, ...]:
         return (self.gamma_range, self.beta_range)
 
     def make(self, params: Sequence[float]) -> EstimatorSpec:
         gamma, beta = params
         return AffineMean(gamma=float(gamma), beta=float(beta))
+
+    def profile(self, gamma: float, theta_interval: Interval) -> Tuple[float, float]:
+        """(gamma, beta*(gamma)): the beta with the smallest worst case.
+
+        + 0.0 turns the -0.0 of (1 - gamma) * 0.0 for gamma > 1 into +0.0.
+        """
+        b = self.beta_range
+        beta = min(max((1.0 - gamma) * theta_interval.midpoint, b.lo), b.hi)
+        return (gamma, beta + 0.0)
+
+    def breakpoints(self, theta_interval: Interval) -> Tuple[float, ...]:
+        """The gammas where the profiled worst case may have a kink: the
+        ends of the range, the two where (1 - gamma) * mid meets an end of
+        the beta range, and gamma = 1, where the worst-case end of the theta
+        interval switches under a clipped beta."""
+        mid = theta_interval.midpoint
+        points = [self.gamma_range.lo, self.gamma_range.hi, 1.0]
+        if mid != 0.0:
+            points += [1.0 - self.beta_range.lo / mid, 1.0 - self.beta_range.hi / mid]
+        return tuple(g for g in points if self.gamma_range.contains(g))
 
 
 @dataclass(frozen=True)
@@ -64,10 +85,6 @@ class MedianShiftFamily:
     beta_range: Interval
 
     @property
-    def param_names(self) -> Tuple[str, ...]:
-        return ("beta",)
-
-    @property
     def bounds(self) -> Tuple[Interval, ...]:
         return (self.beta_range,)
 
@@ -75,22 +92,24 @@ class MedianShiftFamily:
         (beta,) = params
         return SampleMedian(beta=float(beta))
 
+    def profile(self, beta: float, theta_interval: Interval) -> Tuple[float]:
+        return (beta,)
+
+    def breakpoints(self, theta_interval: Interval) -> Tuple[float, ...]:
+        return (self.beta_range.lo, self.beta_range.hi)
+
 
 FamilySpec = Union[AffineMeanFamily, MedianShiftFamily]
 
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Knobs for the nested search; defaults are the documented ones."""
+    """Knobs for the scalar search and the risk method; defaults are the
+    documented ones."""
 
-    restarts: int = 5
     seed: int = 0
     xatol: float = 1e-5
-    fatol: float = 1e-10
     maxiter: int = 600
-    agreement_tol: float = 1e-4
-    grid: int = DEFAULT_GRID
-    refine_tol: float = DEFAULT_REFINE_TOL
     quad_nodes: int = 200
     mc_samples: int = 20_000
 
@@ -129,25 +148,7 @@ def worst_case_at(
     """worst_case_risk of the family member at the given parameters."""
     if method is None:
         method = family_method(family, opts)
-    return worst_case_risk(
-        model,
-        family.make(params),
-        loss,
-        theta_interval,
-        grid=opts.grid,
-        refine_tol=opts.refine_tol,
-        method=method,
-    )
-
-
-def _start_points(family: FamilySpec, opts: SolveOptions) -> List[np.ndarray]:
-    bounds = family.bounds
-    center = np.array([b.midpoint for b in bounds])
-    starts = [center]
-    rng = np.random.default_rng(derive_seed(opts.seed, 0))
-    for _ in range(max(0, opts.restarts - 1)):
-        starts.append(np.array([b.lo + rng.uniform() * b.width for b in bounds]))
-    return starts
+    return worst_case_risk(model, family.make(params), loss, theta_interval, method=method)
 
 
 def solve_minimax(
@@ -157,52 +158,43 @@ def solve_minimax(
     theta_interval: Interval,
     opts: Optional[SolveOptions] = None,
 ) -> MinimaxResult:
-    """Minimize sup_theta risk over the family parameters.
+    """Minimize sup_theta risk over the family's free coordinate.
 
-    Runs Nelder-Mead from a center start plus seeded random restarts and
-    keeps the smallest worst-case value.  `converged` requires the winning
-    run to have terminated within tolerance and all restarts to agree on
-    the optimum within `agreement_tol` per coordinate; a False flag still
-    returns the best point found.
+    `outer_iterations` is the search's iteration count and `converged` its
+    success flag; a False flag still returns the best point found.
+    `restart_agreement` is the distance from the search point to the
+    returned one, nonzero only when a breakpoint won.
     """
     if opts is None:
         opts = SolveOptions()
     method = family_method(family, opts)
+    box = family.bounds[0]
 
-    def objective(x: np.ndarray) -> float:
-        return worst_case_at(model, family, x, loss, theta_interval, opts, method).sup_value
+    def worst_at(x: float) -> WorstCaseResult:
+        params = family.profile(x, theta_interval)
+        return worst_case_at(model, family, params, loss, theta_interval, opts, method)
 
-    scipy_bounds = [(b.lo, b.hi) for b in family.bounds]
-
-    def run_one(x0: np.ndarray):
-        return scipy_minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            bounds=scipy_bounds,
-            options={
-                "xatol": opts.xatol,
-                "fatol": opts.fatol,
-                "maxiter": opts.maxiter,
-                "maxfev": 4 * opts.maxiter,
-            },
-        )
-
-    results = [run_one(x0) for x0 in _start_points(family, opts)]
-    order = sorted(range(len(results)), key=lambda i: (results[i].fun, tuple(results[i].x)))
-    best = results[order[0]]
-    agreement = max(
-        float(np.max(np.abs(r.x - best.x))) for r in results
+    search = scipy_minimize(
+        lambda x: worst_at(float(x)).sup_value,
+        bounds=(box.lo, box.hi),
+        method="bounded",
+        options={"xatol": opts.xatol, "maxiter": opts.maxiter},
     )
-
-    inner = worst_case_at(model, family, best.x, loss, theta_interval, opts, method)
+    x_search = float(search.x)
+    # Near a kink the search stops up to xatol away; the breakpoints hold
+    # the kinks exactly.  min keeps the first of equal values, so the
+    # search point wins ties.
+    inner, x = min(
+        ((worst_at(c), c) for c in (x_search, *family.breakpoints(theta_interval))),
+        key=lambda pair: pair[0].sup_value,
+    )
     return MinimaxResult(
-        best_params=tuple(float(v) for v in best.x),
+        best_params=tuple(float(v) for v in family.profile(x, theta_interval)),
         minimax_value=inner.sup_value,
         inner_results=inner,
-        outer_iterations=int(best.nit),
-        converged=bool(best.success) and agreement < opts.agreement_tol,
-        restart_agreement=agreement,
+        outer_iterations=int(search.nit),
+        converged=bool(search.success),
+        restart_agreement=abs(x_search - x),
     )
 
 

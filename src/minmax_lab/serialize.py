@@ -13,7 +13,7 @@ from .exclusivity import LadderPoint, PartitionReport, RefutationCertificate
 from .minimax import MinimaxResult
 from .risk import WorstCaseResult
 
-MINIMAX_SCHEMA = "minmax-lab/minimax-result/v2"
+MINIMAX_SCHEMA = "minmax-lab/minimax-result/v3"
 CERTIFICATE_SCHEMA = "minmax-lab/refutation-certificate/v1"
 PARTITION_SCHEMA = "minmax-lab/partition-report/v1"
 

@@ -88,6 +88,16 @@ def affine_l2_worst(gamma: float, beta: float, m: float, sigma_over_sqrt_n: floa
     return mu**2 + (gamma * sigma_over_sqrt_n) ** 2, theta
 
 
+def affine_l2_grid_min(lo, hi, sd, gamma_box, beta_box, points: int = 401) -> float:
+    """Smallest closed-form squared-error worst case (see affine_l2_worst)
+    over a dense (gamma, beta) grid of the box, for theta in [lo, hi] and
+    mean standard deviation sd, in one numpy broadcast."""
+    g = np.linspace(gamma_box[0], gamma_box[1], points)[:, None]
+    b = np.linspace(beta_box[0], beta_box[1], points)[None, :]
+    mu2 = np.maximum(((g - 1.0) * lo + b) ** 2, ((g - 1.0) * hi + b) ** 2)
+    return float(np.min(mu2 + (g * sd) ** 2))
+
+
 def affine_l4_worst(gamma: float, beta: float, m: float) -> float:
     """Closed-form sup of the quartic risk of gamma * mean + beta, n=1, sigma=1."""
     mus = [(gamma - 1.0) * t + beta for t in (-m, m)]

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import pytest
 
@@ -238,10 +239,25 @@ class TestMinimaxCommand:
         assert result["minimax_value"] == pytest.approx(0.9, abs=0.005)
         assert result["converged"] is True
         assert doc["schema"] == "minmax-lab/cli-output/v1"
-        assert result["schema"] == "minmax-lab/minimax-result/v2"
+        assert result["schema"] == "minmax-lab/minimax-result/v3"
         worst = result["worst_case"]
         assert (worst["sup_method"], worst["grid_points"]) == ("endpoints", 2)
         assert abs(worst["argmax_theta"]) == 3.0
+
+    def test_beta_star_is_never_negative_zero(self, write_config, out_dir):
+        # on a symmetric interval beta* = (1 - gamma) * 0.0, which is -0.0 for gamma > 1
+        cfg = write_config(
+            MM_BASE.replace("gamma_lo = 0", "gamma_lo = 1.1"),
+            """
+            [minimax]
+            loss = squared
+            """
+        )
+        assert main(["minimax", "--config", str(cfg), "--out", str(out_dir)]) == 0
+        text = (out_dir / "minimax.json").read_text()
+        assert "-0.0" not in text
+        gamma, beta = json.loads(text)["result"]["best_params"]
+        assert (gamma, math.copysign(1.0, beta), beta) == (1.1, 1.0, 0.0)
 
     def test_median_family_is_constant_in_theta(self, write_config, out_dir):
         cfg = write_config(

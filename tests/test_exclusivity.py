@@ -29,7 +29,7 @@ THETA3 = Interval(-3, 3)
 THETA_WIDE = Interval(-50, 50)
 FAMILY = AffineMeanFamily(gamma_range=Interval(0, 1.5), beta_range=Interval(-1, 1))
 
-FAST = RefuteOptions(solve=SolveOptions(restarts=3, grid=64))
+OPTS = RefuteOptions()
 
 
 def dR4_dgamma(g, m=3.0):
@@ -64,7 +64,7 @@ class TestGradient:
         family = MedianShiftFamily(beta_range=Interval(-1, 1))
         g = grad_worst_case(
             model, family, (0.0,), Power(2, 1), THETA3,
-            opts=SolveOptions(grid=32, mc_samples=50_000, seed=3),
+            opts=SolveOptions(mc_samples=50_000, seed=3),
         )
         # the shared-draw sample is not exactly symmetric, so only near zero
         assert abs(g[0]) < 0.05
@@ -90,24 +90,24 @@ class TestRefutation:
     def test_same_class_pair_rejected(self):
         with pytest.raises(ExponentPreconditionError):
             refute_joint_minimaxity(
-                M1, FAMILY, Power(2, 1), Scaled(5, Power(2, 1)), THETA3, FAST
+                M1, FAMILY, Power(2, 1), Scaled(5, Power(2, 1)), THETA3, OPTS
             )
 
     def test_nonsmooth_exponent_rejected(self):
         with pytest.raises(ExponentPreconditionError):
-            refute_joint_minimaxity(M1, FAMILY, Power(1, 1), Power(2, 1), THETA3, FAST)
+            refute_joint_minimaxity(M1, FAMILY, Power(1, 1), Power(2, 1), THETA3, OPTS)
 
     def test_wide_interval_is_stationary_for_both(self):
         cert = refute_joint_minimaxity(
-            M1, FAMILY, Power(2, 1), Power(4, 1), THETA_WIDE, FAST
+            M1, FAMILY, Power(2, 1), Power(4, 1), THETA_WIDE, OPTS
         )
         assert cert.verdict in (Verdict.STATIONARY_BOTH, Verdict.NO_DESCENT_IN_FAMILY)
 
     @pytest.mark.parametrize("factor", [0.1, 10.0])
     def test_invariant_under_scaling_the_second_loss(self, factor):
-        base = refute_joint_minimaxity(M1, FAMILY, Power(2, 1), Power(4, 1), THETA3, FAST)
+        base = refute_joint_minimaxity(M1, FAMILY, Power(2, 1), Power(4, 1), THETA3, OPTS)
         scaled = refute_joint_minimaxity(
-            M1, FAMILY, Power(2, 1), scale_loss(Power(4, 1), factor), THETA3, FAST
+            M1, FAMILY, Power(2, 1), scale_loss(Power(4, 1), factor), THETA3, OPTS
         )
         assert scaled.verdict is base.verdict
         for a, b in zip(scaled.direction, base.direction):
@@ -196,7 +196,7 @@ class TestShiftRisk:
 
 class TestPartition:
     def test_bounded_interval_partition_is_disjoint(self):
-        report = check_exclusivity_partition(M1, FAMILY, [2, 4], THETA3, FAST)
+        report = check_exclusivity_partition(M1, FAMILY, [2, 4], THETA3, OPTS)
         assert report.pairwise_disjoint
         assert len(report.classes) == 2
         assert len(report.witnesses) == 1
@@ -215,7 +215,7 @@ class TestPartition:
         for name in ("minmax_lab.minimax", "minmax_lab.exclusivity"):
             monkeypatch.setattr(importlib.import_module(name), "solve_minimax", counting)
         exponents = (1.5, 2, 4)
-        report = check_exclusivity_partition(M1, FAMILY, exponents, THETA3, FAST)
+        report = check_exclusivity_partition(M1, FAMILY, exponents, THETA3, OPTS)
         assert solved == [Power(p) for p in exponents]
 
         # reusing the class solves changes no witness: each equals a
@@ -223,12 +223,12 @@ class TestPartition:
         pairs = [(0, 1), (0, 2), (1, 2)]
         for witness, (i, j) in zip(report.witnesses, pairs):
             alone = refute_joint_minimaxity(
-                M1, FAMILY, Power(exponents[i]), Power(exponents[j]), THETA3, FAST
+                M1, FAMILY, Power(exponents[i]), Power(exponents[j]), THETA3, OPTS
             )
             assert witness == alone
 
     def test_wide_interval_partition_fails(self):
-        report = check_exclusivity_partition(M1, FAMILY, [2, 4], THETA_WIDE, FAST)
+        report = check_exclusivity_partition(M1, FAMILY, [2, 4], THETA_WIDE, OPTS)
         assert not report.pairwise_disjoint
         assert report.witnesses[0].verdict in (
             Verdict.STATIONARY_BOTH,
@@ -237,12 +237,12 @@ class TestPartition:
 
     def test_single_class_rejected(self):
         with pytest.raises(InsufficientClassesError):
-            check_exclusivity_partition(M1, FAMILY, [2], THETA3, FAST)
+            check_exclusivity_partition(M1, FAMILY, [2], THETA3, OPTS)
 
     def test_duplicate_exponents_rejected(self):
         with pytest.raises(InsufficientClassesError):
-            check_exclusivity_partition(M1, FAMILY, [2, 2], THETA3, FAST)
+            check_exclusivity_partition(M1, FAMILY, [2, 2], THETA3, OPTS)
 
     def test_nonsmooth_exponents_rejected(self):
         with pytest.raises(ExponentPreconditionError):
-            check_exclusivity_partition(M1, FAMILY, [1, 2], THETA3, FAST)
+            check_exclusivity_partition(M1, FAMILY, [1, 2], THETA3, OPTS)

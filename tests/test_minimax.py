@@ -1,10 +1,13 @@
 """Nested min-sup solver over estimator families."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from minmax_lab.errors import InsufficientLossesError
-from minmax_lab.losses import Power, scale_loss
+from minmax_lab.losses import Power, SumLoss, scale_loss
 from minmax_lab.minimax import (
     AffineMeanFamily,
     MedianShiftFamily,
@@ -15,14 +18,13 @@ from minmax_lab.minimax import (
 )
 from minmax_lab.model import GaussianLocationModel, Interval
 
-from oracles import affine_l2_worst, affine_l4_worst, scan_min
+from oracles import affine_l2_grid_min, affine_l2_worst, affine_l4_worst, scan_min
 
 M1 = GaussianLocationModel(n=1)
 THETA3 = Interval(-3, 3)
 FAMILY = AffineMeanFamily(gamma_range=Interval(0, 1.5), beta_range=Interval(-1, 1))
 
-# cheaper settings for tests that re-solve several times
-FAST = SolveOptions(restarts=3, grid=64)
+OPTS = SolveOptions()
 
 
 class TestAffineMinimax:
@@ -42,7 +44,7 @@ class TestAffineMinimax:
 
     def test_wide_interval_forces_identity_weight(self):
         result = solve_minimax(
-            M1, FAMILY, Power(2, 1), Interval(-50, 50), SolveOptions(restarts=3, grid=64)
+            M1, FAMILY, Power(2, 1), Interval(-50, 50), SolveOptions()
         )
         gamma, _ = result.best_params
         assert gamma == pytest.approx(1.0, abs=0.02)
@@ -59,23 +61,92 @@ class TestAffineMinimax:
         assert result.minimax_value == pytest.approx(oracle_value, rel=1e-5)
 
     def test_value_matches_recomputed_worst_case(self):
-        result = solve_minimax(M1, FAMILY, Power(2, 1), THETA3, FAST)
-        recomputed = worst_case_at(M1, FAMILY, result.best_params, Power(2, 1), THETA3, FAST)
+        result = solve_minimax(M1, FAMILY, Power(2, 1), THETA3, OPTS)
+        recomputed = worst_case_at(M1, FAMILY, result.best_params, Power(2, 1), THETA3, OPTS)
         assert result.minimax_value == pytest.approx(recomputed.sup_value, rel=1e-6)
 
     def test_certified_upper_bound(self):
-        result = solve_minimax(M1, FAMILY, Power(2, 1), THETA3, FAST)
+        result = solve_minimax(M1, FAMILY, Power(2, 1), THETA3, OPTS)
         rng = np.random.default_rng(17)
         for _ in range(20):
             params = (rng.uniform(0, 1.5), rng.uniform(-1, 1))
-            other = worst_case_at(M1, FAMILY, params, Power(2, 1), THETA3, FAST)
+            other = worst_case_at(M1, FAMILY, params, Power(2, 1), THETA3, OPTS)
             assert result.minimax_value <= other.sup_value + 1e-9
 
     def test_deterministic_given_options(self):
-        a = solve_minimax(M1, FAMILY, Power(2, 1), THETA3, FAST)
-        b = solve_minimax(M1, FAMILY, Power(2, 1), THETA3, FAST)
+        a = solve_minimax(M1, FAMILY, Power(2, 1), THETA3, OPTS)
+        b = solve_minimax(M1, FAMILY, Power(2, 1), THETA3, OPTS)
         assert a.best_params == b.best_params
         assert a.minimax_value == b.minimax_value
+
+    def test_default_l2_solve_call_budget(self, risk_calls):
+        result = solve_minimax(M1, FAMILY, Power(2, 1), THETA3)
+        assert len(risk_calls) <= 20
+        assert result.best_params == pytest.approx((0.9, 0.0), abs=1e-4)
+
+    def test_gamma_face_optimum_is_exact(self):
+        family = AffineMeanFamily(gamma_range=Interval(0, 0.85), beta_range=Interval(-1, 1))
+        result = solve_minimax(M1, family, Power(2, 1), THETA3)
+        assert result.best_params == (0.85, 0.0)
+        assert result.minimax_value == pytest.approx(0.925, abs=1e-12)
+        # the face beat the search point, so the two differ
+        assert result.restart_agreement > 0
+
+    @pytest.mark.parametrize(
+        "loss", [Power(0.5, 1), SumLoss((Power(0.5, 1), Power(4, 0.1)))], ids=["p0.5", "sum"]
+    )
+    def test_nonconvex_loss_beats_2d_grid(self, loss):
+        theta = Interval(-1, 5)
+        result = solve_minimax(M1, FAMILY, loss, theta)
+        grid_min = min(
+            worst_case_at(M1, FAMILY, (g, b), loss, theta, OPTS).sup_value
+            for g in np.linspace(0, 1.5, 41)
+            for b in np.linspace(-1, 1, 41)
+        )
+        assert result.minimax_value <= grid_min + 1e-9
+
+    @given(
+        lo=st.floats(min_value=-4.0, max_value=3.0),
+        width=st.floats(min_value=0.25, max_value=6.0),
+        gamma_lo=st.floats(min_value=0.0, max_value=1.2),
+        gamma_width=st.floats(min_value=0.05, max_value=1.5),
+        beta_lo=st.floats(min_value=-2.0, max_value=1.5),
+        beta_width=st.floats(min_value=0.05, max_value=2.0),
+        n=st.sampled_from((1, 4, 25)),
+        sigma=st.floats(min_value=0.5, max_value=2.0),
+    )
+    # the beta clip is active: the ridge beta = (1 - gamma) * 3 lies above the box
+    @example(lo=1.0, width=4.0, gamma_lo=0.0, gamma_width=1.5, beta_lo=-1.0,
+             beta_width=1.2, n=1, sigma=1.0)
+    # gamma* = 9 / 10 lies above the gamma box: an optimum on the gamma face
+    @example(lo=-3.0, width=6.0, gamma_lo=0.0, gamma_width=0.85, beta_lo=-1.0,
+             beta_width=2.0, n=1, sigma=1.0)
+    # kinks of the profiled objective that are its minimum: gamma = 1 under
+    # a clipped beta, and the gamma = 0.85 where the clip at beta = 0.45 ends
+    @example(lo=-2.0, width=3.0, gamma_lo=0.5, gamma_width=1.0, beta_lo=1.0,
+             beta_width=1.0, n=1, sigma=1.0)
+    @example(lo=1.0, width=4.0, gamma_lo=0.6, gamma_width=0.5, beta_lo=-1.0,
+             beta_width=1.45, n=1, sigma=1.0)
+    @settings(max_examples=50, deadline=None)
+    def test_l2_against_closed_form_grid(
+        self, lo, width, gamma_lo, gamma_width, beta_lo, beta_width, n, sigma
+    ):
+        theta = Interval(lo, lo + width)
+        gamma_box = (gamma_lo, gamma_lo + gamma_width)
+        beta_box = (beta_lo, beta_lo + beta_width)
+        family = AffineMeanFamily(gamma_range=Interval(*gamma_box), beta_range=Interval(*beta_box))
+        result = solve_minimax(GaussianLocationModel(n=n, sigma=sigma), family, Power(2, 1), theta)
+
+        sd = sigma / math.sqrt(n)
+        grid_min = affine_l2_grid_min(theta.lo, theta.hi, sd, gamma_box, beta_box)
+        assert result.minimax_value <= grid_min + 1e-9
+
+        # linear minimax (Donoho, Liu & MacGibbon 1990), clipped to the box;
+        # where its beta is feasible it is the optimum over the whole box
+        hw2 = (width / 2) ** 2
+        gamma_star = min(max(hw2 / (sd**2 + hw2), gamma_box[0]), gamma_box[1])
+        if beta_box[0] <= (1 - gamma_star) * theta.midpoint <= beta_box[1]:
+            assert result.best_params[0] == pytest.approx(gamma_star, abs=1e-4)
 
 
 class TestMedianShift:
@@ -83,7 +154,7 @@ class TestMedianShift:
         model = GaussianLocationModel(n=11)
         family = MedianShiftFamily(beta_range=Interval(-1, 1))
         result = solve_minimax(
-            model, family, Power(2, 1), THETA3, SolveOptions(restarts=3, grid=32, seed=5)
+            model, family, Power(2, 1), THETA3, SolveOptions(seed=5)
         )
         (beta,) = result.best_params
         assert beta == pytest.approx(0.0, abs=0.01)

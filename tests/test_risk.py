@@ -1,6 +1,5 @@
 """Risk evaluation: quadrature vs oracles, Monte Carlo agreement, worst case."""
 
-import importlib
 import math
 
 import numpy as np
@@ -46,21 +45,6 @@ from oracles import (
 
 M1 = GaussianLocationModel(n=1)
 THETA3 = Interval(-3, 3)
-
-
-@pytest.fixture
-def risk_calls(monkeypatch):
-    """Thetas of every risk() call made through the risk module's global name."""
-    module = importlib.import_module("minmax_lab.risk")
-    inner = module.risk
-    thetas = []
-
-    def counting(model, est, loss, theta, method):
-        thetas.append(theta)
-        return inner(model, est, loss, theta, method)
-
-    monkeypatch.setattr(module, "risk", counting)
-    return thetas
 
 
 class TestQuadratureRisk:
