@@ -123,19 +123,25 @@ def _require_seed(seed: Optional[int], why: str) -> int:
     return seed
 
 
-def _read_options(view: SectionView, base, skip: str):
-    """`base` with each of its dataclass fields but `skip` that the section
-    sets, read as an int or a float after the type of the field's default."""
+# Keys of solver options that no longer exist; configs may still set them.
+_RETIRED_KEYS = ("restarts", "grid", "refine_tol", "fatol", "agreement_tol")
+_SOLVE_KEYS = tuple(f.name for f in fields(SolveOptions) if f.name != "seed")
+_REFUTE_KEYS = tuple(f.name for f in fields(RefuteOptions) if f.name != "solve")
+
+
+def _read_options(view: SectionView, base, names: Sequence[str]):
+    """`base` with each field in `names` that the section sets, read as an
+    int or a float after the type of the field's default."""
     changes = {}
-    for f in fields(base):
-        if f.name != skip and view.has(f.name):
-            read = view.int if isinstance(getattr(base, f.name), int) else view.float
-            changes[f.name] = read(f.name)
+    for name in names:
+        if view.has(name):
+            read = view.int if isinstance(getattr(base, name), int) else view.float
+            changes[name] = read(name)
     return replace(base, **changes)
 
 
 def _solve_options(view: SectionView, seed: Optional[int]) -> SolveOptions:
-    return _read_options(view, SolveOptions(seed=0 if seed is None else seed), skip="seed")
+    return _read_options(view, SolveOptions(seed=0 if seed is None else seed), _SOLVE_KEYS)
 
 
 def cmd_risk(cfg: RunConfig, args, out_dir: Path, seed: Optional[int]) -> int:
@@ -171,6 +177,7 @@ def cmd_risk(cfg: RunConfig, args, out_dir: Path, seed: Optional[int]) -> int:
 
 def cmd_minimax(cfg: RunConfig, args, out_dir: Path, seed: Optional[int]) -> int:
     view = cfg.section("minimax")
+    view.reject_unknown(("loss", *_SOLVE_KEYS, *_RETIRED_KEYS))
     loss = cfg.loss(view.str("loss"))
     if cfg.family is None:
         raise ConfigError("missing [family] section (minimax needs a family)")
@@ -193,12 +200,13 @@ def cmd_minimax(cfg: RunConfig, args, out_dir: Path, seed: Optional[int]) -> int
 
 def cmd_exclusivity(cfg: RunConfig, args, out_dir: Path, seed: Optional[int]) -> int:
     view = cfg.section("exclusivity")
+    view.reject_unknown(("exponents", *_SOLVE_KEYS, *_REFUTE_KEYS, *_RETIRED_KEYS))
     exponents = view.floats("exponents")
     if cfg.family is None:
         raise ConfigError("missing [family] section (exclusivity needs a family)")
     if isinstance(cfg.family, MedianShiftFamily):
         seed = _require_seed(seed, "when the family risk is Monte Carlo (median_shift)")
-    opts = _read_options(view, RefuteOptions(solve=_solve_options(view, seed)), skip="solve")
+    opts = _read_options(view, RefuteOptions(solve=_solve_options(view, seed)), _REFUTE_KEYS)
     report = check_exclusivity_partition(
         cfg.model, cfg.family, exponents, cfg.theta_interval, opts
     )

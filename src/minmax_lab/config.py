@@ -30,7 +30,7 @@ import configparser
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from .errors import ConfigError
 from .losses import Huber, LossSpec, Power, Scaled, SumLoss
@@ -89,6 +89,12 @@ class SectionView:
 
     def has(self, key: str) -> bool:
         return key in self._proxy
+
+    def reject_unknown(self, known: Sequence[str]) -> None:
+        """Raise on a key not in `known`, so a misspelling is not ignored."""
+        for key in self._proxy:
+            if key not in known:
+                raise ConfigError(f"[{self.name}] has unknown key {key!r}")
 
     def str(self, key: str, default: Optional[str] = None) -> str:
         if key not in self._proxy:

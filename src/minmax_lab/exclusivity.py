@@ -2,14 +2,18 @@
 
 The engine answers with numerical certificates.  For a pair of losses with
 distinct local exponents p < q (both > 1), it solves the family minimax
-problem for the p-loss, takes the finite-difference gradient of the q-loss
-worst-case risk at that optimum, and walks downhill:
+problem for the p-loss and walks downhill for the q-loss in the family's
+free coordinate x, along the profile the solver searched.  No kink of the
+worst case lies across it, so `gradient_q`, a difference quotient in x, is
+a true slope, and `direction` is the sign of the step in x:
 
   * a strictly negative q-risk change at some step alpha, with the p-risk
     degrading only quadratically (fitted slope of |delta R_p| vs alpha near
     2), certifies that the p-optimum is not q-optimal -> Refuted;
-  * a vanishing q-gradient means both objectives are stationary at the same
-    point in this family -> StationaryBoth (no refutation available here);
+  * a vanishing q-slope, or a descent step that would leave the range at
+    the face the optimum sits on (KKT on an interval), means both
+    objectives are stationary at the same point in this family ->
+    StationaryBoth (no refutation available here);
   * otherwise the ladder failed to certify anything -> NoDescentInFamily.
 
 Verdicts are family-relative by construction.  The sign-flip perturbation
@@ -42,10 +46,10 @@ from .minimax import (
     RealizabilityReport,
     SolveOptions,
     family_method,
-    params_in_bounds,
     realizability_report,
     solve_minimax,
     worst_case_at,
+    worst_case_on_profile,
 )
 from .quadrature import DEFAULT_NODES, gaussian_expectation
 from .risk import MonteCarlo, WorstCaseResult, worst_case_risk
@@ -102,7 +106,8 @@ def grad_worst_case(
     h: float = 1e-4,
     opts: Optional[SolveOptions] = None,
 ) -> np.ndarray:
-    """Central finite-difference gradient of sup_theta risk in parameter space."""
+    """Central finite-difference gradient of sup_theta risk over all family
+    parameters: the acceptance gate checks it; the refutation does not use it."""
     if h <= 0:
         raise ValueError(f"h must be > 0, got {h}")
     if opts is None:
@@ -115,7 +120,7 @@ def grad_worst_case(
         step = np.zeros_like(params)
         step[i] = h
         up, dn = params + step, params - step
-        if not (params_in_bounds(family, up) and params_in_bounds(family, dn)):
+        if not all(b.contains(u) and b.contains(d) for b, u, d in zip(family.bounds, up, dn)):
             raise ValueError(
                 f"params {tuple(params)} are not interior to the family box "
                 f"at step {h} in coordinate {i}"
@@ -124,10 +129,6 @@ def grad_worst_case(
         f_dn = worst_case_at(model, family, dn, loss, theta_interval, opts, method).sup_value
         grad[i] = (f_up - f_dn) / (2.0 * h)
     return grad
-
-
-def _stationarity_tol(rtol: float, value: float) -> float:
-    return rtol * max(1.0, abs(value))
 
 
 def refute_joint_minimaxity(
@@ -166,82 +167,66 @@ def refute_joint_minimaxity(
     mm = p_solution
     if mm is None:
         mm = solve_minimax(model, family, loss_p, theta_interval, opts.solve)
-    params = np.asarray(mm.best_params)
+    x = mm.best_params[0]
+    box = family.bounds[0]
     method = family_method(family, opts.solve)
 
-    grad_p = grad_worst_case(
-        model, family, params, loss_p, theta_interval, opts.fd_step, opts.solve
-    )
-    grad_p_norm = float(np.linalg.norm(grad_p))
+    def worst(loss: LossSpec, at: float) -> float:
+        return worst_case_on_profile(
+            model, family, at, loss, theta_interval, opts.solve, method
+        ).sup_value
 
-    rp_base = mm.minimax_value
-    rq_base = worst_case_at(
-        model, family, params, loss_q, theta_interval, opts.solve, method
-    ).sup_value
+    def derivative(loss: LossSpec) -> float:
+        # central in the interior, one-sided at a face of the range
+        lo, hi = max(x - opts.fd_step, box.lo), min(x + opts.fd_step, box.hi)
+        return (worst(loss, hi) - worst(loss, lo)) / (hi - lo)
 
-    g = grad_worst_case(
-        model, family, params, loss_q, theta_interval, opts.fd_step, opts.solve
-    )
-    g_norm = float(np.linalg.norm(g))
-    common = dict(
-        p=cls_p.p_hat,
-        q=cls_q.p_hat,
-        delta_star_params=tuple(float(v) for v in params),
-        gradient_q=tuple(float(v) for v in g),
-        gradient_p_norm=grad_p_norm,
-    )
+    rp0 = mm.minimax_value
+    rq0 = worst(loss_q, x)
+    g = derivative(loss_q)
+    step = -math.copysign(1.0, g)
+    # KKT on an interval: the q-risk is flat, or its descent step would
+    # leave the range through the face x sits on
+    face = box.hi if step > 0 else box.lo
+    stationary = abs(g) <= opts.stationarity_rtol * max(1.0, abs(rq0)) or x == face
 
-    if g_norm <= _stationarity_tol(opts.stationarity_rtol, rq_base):
-        return RefutationCertificate(
-            **common,
-            direction=tuple(0.0 for _ in params),
-            alpha=None,
-            delta_Rq=None,
-            delta_Rp=None,
-            taylor_slope_p=None,
-            verdict=Verdict.STATIONARY_BOTH,
-            ladder=(),
-        )
-
-    v = -g / g_norm
     ladder = []
-    for k in range(opts.halvings):
+    for k in range(0 if stationary else opts.halvings):
         alpha = opts.alpha0 / 2.0**k
-        trial = params + alpha * v
-        if not params_in_bounds(family, trial):
-            continue
-        rq = worst_case_at(model, family, trial, loss_q, theta_interval, opts.solve, method)
-        rp = worst_case_at(model, family, trial, loss_p, theta_interval, opts.solve, method)
-        ladder.append(
-            LadderPoint(alpha=alpha, delta_Rp=rp.sup_value - rp_base, delta_Rq=rq.sup_value - rq_base)
-        )
-    ladder = tuple(ladder)
+        x_k = x + alpha * step
+        if box.contains(x_k):
+            ladder.append(LadderPoint(alpha, worst(loss_p, x_k) - rp0, worst(loss_q, x_k) - rq0))
 
     successes = [pt for pt in ladder if pt.delta_Rq < 0.0]
+    fit_pts = [pt for pt in successes if pt.delta_Rp != 0.0]
+    fit_pts = sorted(fit_pts, key=lambda pt: pt.alpha)[: opts.taylor_points]
     slope = None
-    if successes:
-        fit_pts = [pt for pt in successes if pt.delta_Rp != 0.0]
-        fit_pts = sorted(fit_pts, key=lambda pt: pt.alpha)[: opts.taylor_points]
-        if len(fit_pts) >= 2:
-            xs = np.log([pt.alpha for pt in fit_pts])
-            ys = np.log([abs(pt.delta_Rp) for pt in fit_pts])
-            slope = float(np.polyfit(xs, ys, 1)[0])
+    if len(fit_pts) >= 2:
+        xs = np.log([pt.alpha for pt in fit_pts])
+        ys = np.log([abs(pt.delta_Rp) for pt in fit_pts])
+        slope = float(np.polyfit(xs, ys, 1)[0])
 
-    if successes and slope is not None and 1.7 <= slope <= 2.3:
+    if stationary:
+        verdict = Verdict.STATIONARY_BOTH
+    elif slope is not None and 1.7 <= slope <= 2.3:
         verdict = Verdict.REFUTED
     else:
         verdict = Verdict.NO_DESCENT_IN_FAMILY
 
     head = max(successes, key=lambda pt: pt.alpha) if successes else None
     return RefutationCertificate(
-        **common,
-        direction=tuple(float(x) for x in v),
+        p=cls_p.p_hat,
+        q=cls_q.p_hat,
+        delta_star_params=tuple(float(v) for v in mm.best_params),
+        gradient_q=(g,),
+        gradient_p_norm=abs(derivative(loss_p)),
+        direction=(0.0 if stationary else step,),
         alpha=head.alpha if head else None,
         delta_Rq=head.delta_Rq if head else None,
         delta_Rp=head.delta_Rp if head else None,
         taylor_slope_p=slope,
         verdict=verdict,
-        ladder=ladder,
+        ladder=tuple(ladder),
     )
 
 

@@ -17,6 +17,7 @@ about all measurable decision rules.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
@@ -132,10 +133,6 @@ def family_method(family: FamilySpec, opts: SolveOptions) -> RiskMethod:
     return MonteCarlo(opts.mc_samples, derive_seed(opts.seed, 1))
 
 
-def params_in_bounds(family: FamilySpec, params: Sequence[float]) -> bool:
-    return all(b.contains(float(x)) for b, x in zip(family.bounds, params))
-
-
 def worst_case_at(
     model: GaussianLocationModel,
     family: FamilySpec,
@@ -149,6 +146,15 @@ def worst_case_at(
     if method is None:
         method = family_method(family, opts)
     return worst_case_risk(model, family.make(params), loss, theta_interval, method=method)
+
+
+def worst_case_on_profile(
+    model: GaussianLocationModel, family: FamilySpec, x: float, loss: LossSpec,
+    theta_interval: Interval, opts: SolveOptions, method: RiskMethod,
+) -> WorstCaseResult:
+    """worst_case_at of family.profile(x): the best member for free coordinate x."""
+    params = family.profile(x, theta_interval)
+    return worst_case_at(model, family, params, loss, theta_interval, opts, method)
 
 
 def solve_minimax(
@@ -169,11 +175,10 @@ def solve_minimax(
         opts = SolveOptions()
     method = family_method(family, opts)
     box = family.bounds[0]
-
-    def worst_at(x: float) -> WorstCaseResult:
-        params = family.profile(x, theta_interval)
-        return worst_case_at(model, family, params, loss, theta_interval, opts, method)
-
+    worst_at = functools.partial(
+        worst_case_on_profile, model, family,
+        loss=loss, theta_interval=theta_interval, opts=opts, method=method,
+    )
     search = scipy_minimize(
         lambda x: worst_at(float(x)).sup_value,
         bounds=(box.lo, box.hi),

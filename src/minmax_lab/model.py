@@ -44,10 +44,6 @@ class Interval:
             raise ValueError(f"interval needs lo < hi, got [{self.lo}, {self.hi}]")
 
     @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
     def midpoint(self) -> float:
         return 0.5 * (self.lo + self.hi)
 

@@ -99,7 +99,6 @@ class WorstCaseResult:
     sup_value: float
     argmax_theta: float
     grid_points: int
-    refinement_tol: float
     sup_method: str
 
     @property
@@ -236,14 +235,14 @@ def worst_case_risk(
 
     if isinstance(est, SampleMedian) or (isinstance(est, AffineMean) and est.gamma == 1.0):
         mid = theta_interval.midpoint
-        return WorstCaseResult(risk_at(mid), mid, 1, refine_tol, "constant")
+        return WorstCaseResult(risk_at(mid), mid, 1, "constant")
 
     if isinstance(est, AffineMean) and isinstance(method, Quadrature):
         lo, hi = theta_interval.lo, theta_interval.hi
         # the risk is nondecreasing in |mu(theta)|; ties go to lo
         mu_lo, mu_hi = error_law(model, est, lo)[0], error_law(model, est, hi)[0]
         best_theta = hi if abs(mu_hi) > abs(mu_lo) else lo
-        return WorstCaseResult(risk_at(best_theta), best_theta, 2, refine_tol, "endpoints")
+        return WorstCaseResult(risk_at(best_theta), best_theta, 2, "endpoints")
 
     thetas = np.linspace(theta_interval.lo, theta_interval.hi, grid)
     values = np.array([risk_at(t) for t in thetas])
@@ -255,4 +254,4 @@ def worst_case_risk(
     x, fx = golden_section_max(risk_at, lo, hi, refine_tol)
     if fx > best_value:
         best_theta, best_value = x, fx
-    return WorstCaseResult(best_value, best_theta, grid, refine_tol, "grid")
+    return WorstCaseResult(best_value, best_theta, grid, "grid")

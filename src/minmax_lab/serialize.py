@@ -13,8 +13,8 @@ from .exclusivity import LadderPoint, PartitionReport, RefutationCertificate
 from .minimax import MinimaxResult
 from .risk import WorstCaseResult
 
-MINIMAX_SCHEMA = "minmax-lab/minimax-result/v3"
-CERTIFICATE_SCHEMA = "minmax-lab/refutation-certificate/v1"
+MINIMAX_SCHEMA = "minmax-lab/minimax-result/v4"
+CERTIFICATE_SCHEMA = "minmax-lab/refutation-certificate/v2"
 PARTITION_SCHEMA = "minmax-lab/partition-report/v1"
 
 
@@ -28,7 +28,6 @@ def worst_case_to_dict(w: WorstCaseResult) -> Dict[str, Any]:
         "argmax_theta": float(w.argmax_theta),
         "sup_method": w.sup_method,
         "grid_points": int(w.grid_points),
-        "refinement_tol": float(w.refinement_tol),
         "constant_in_theta": bool(w.constant_in_theta),
     }
 

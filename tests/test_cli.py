@@ -239,10 +239,25 @@ class TestMinimaxCommand:
         assert result["minimax_value"] == pytest.approx(0.9, abs=0.005)
         assert result["converged"] is True
         assert doc["schema"] == "minmax-lab/cli-output/v1"
-        assert result["schema"] == "minmax-lab/minimax-result/v3"
+        assert result["schema"] == "minmax-lab/minimax-result/v4"
         worst = result["worst_case"]
         assert (worst["sup_method"], worst["grid_points"]) == ("endpoints", 2)
         assert abs(worst["argmax_theta"]) == 3.0
+        assert "refinement_tol" not in worst
+
+    def test_misspelled_option_is_config_error(self, write_config, out_dir, capsys):
+        cfg = write_config(
+            MM_BASE,
+            """
+            [minimax]
+            loss = squared
+            maxiterr = 1
+            """
+        )
+        assert main(["minimax", "--config", str(cfg), "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "[minimax]" in err and "'maxiterr'" in err
+        assert not (out_dir / "minimax.json").exists()
 
     def test_beta_star_is_never_negative_zero(self, write_config, out_dir):
         # on a symmetric interval beta* = (1 - gamma) * 0.0, which is -0.0 for gamma > 1
@@ -354,11 +369,71 @@ class TestExclusivityCommand:
         assert report["pairwise_disjoint"] is True
         assert report["witnesses"][0]["verdict"] == "Refuted"
 
+        witness = report["witnesses"][0]
+        assert witness["schema"] == "minmax-lab/refutation-certificate/v2"
+        assert witness["direction"] == [-1.0]
+        assert len(witness["gradient_q"]) == 1
+
         _, rows = read_csv(out_dir / "alpha_ladder.csv")
         assert rows[0] == ["p", "q", "alpha", "delta_Rp", "delta_Rq"]
         alphas = [float(r[2]) for r in rows[1:]]
         assert alphas == sorted(alphas, reverse=True)
         assert all(a > b for a, b in zip(alphas, alphas[1:]))
+
+    def test_face_optimum_is_a_stationary_verdict(self, write_config, out_dir):
+        # both optima sit on the face gamma = 0.85, and the quartic descent
+        # step points out of the box there
+        cfg = write_config(
+            MM_BASE.replace("gamma_hi = 1.5", "gamma_hi = 0.85"),
+            """
+            [exclusivity]
+            exponents = 2, 4
+            """
+        )
+        assert main(["exclusivity", "--config", str(cfg), "--out", str(out_dir)]) == 0
+        report = json.loads((out_dir / "exclusivity.json").read_text())["result"]
+        assert [c["params"] for c in report["classes"]] == [[0.85, 0.0], [0.85, 0.0]]
+        (witness,) = report["witnesses"]
+        assert witness["verdict"] == "StationaryBoth"
+        assert (witness["ladder"], witness["direction"]) == ([], [0.0])
+        assert report["pairwise_disjoint"] is False
+        _, rows = read_csv(out_dir / "alpha_ladder.csv")
+        assert rows == [["p", "q", "alpha", "delta_Rp", "delta_Rq"]]
+
+    def test_unknown_option_is_config_error(self, write_config, out_dir, capsys):
+        cfg = write_config(
+            MM_BASE,
+            """
+            [exclusivity]
+            exponents = 2, 4
+            halvngs = 2
+            """
+        )
+        assert main(["exclusivity", "--config", str(cfg), "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "[exclusivity]" in err and "'halvngs'" in err
+
+    def test_option_and_retired_keys_are_accepted(self, write_config, out_dir):
+        # the retired solver keys are still read (and ignored) from old configs
+        cfg = write_config(
+            MM_BASE,
+            """
+            [exclusivity]
+            exponents = 2, 4
+            restarts = 1
+            grid = 32
+            refine_tol = 1e-6
+            fatol = 1e-9
+            agreement_tol = 1e-3
+            maxiter = 50
+            mc_samples = 1000
+            halvings = 3
+            fd_step = 1e-4
+            """
+        )
+        assert main(["exclusivity", "--config", str(cfg), "--out", str(out_dir)]) == 0
+        report = json.loads((out_dir / "exclusivity.json").read_text())["result"]
+        assert len(report["witnesses"][0]["ladder"]) <= 3
 
     def test_single_exponent_is_config_error(self, write_config, out_dir):
         cfg = write_config(

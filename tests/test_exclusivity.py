@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minmax_lab.errors import ExponentPreconditionError, InsufficientClassesError
 from minmax_lab.exclusivity import (
@@ -112,6 +113,69 @@ class TestRefutation:
         assert scaled.verdict is base.verdict
         for a, b in zip(scaled.direction, base.direction):
             assert abs(a - b) < 1e-3
+
+
+class TestProfileCertificate:
+    """The refutation works along the family's free coordinate, so an
+    asymmetric interval and an optimum on a face of the range are no
+    different from the symmetric interior case."""
+
+    @pytest.mark.parametrize("lo, hi", [(-1.0, 5.0), (0.0, 4.0)])
+    def test_asymmetric_interval_pair_is_refuted(self, lo, hi):
+        cert = refute_joint_minimaxity(M1, FAMILY, Power(2, 1), Power(4, 1), Interval(lo, hi))
+        assert cert.verdict is Verdict.REFUTED
+        assert 1.7 <= cert.taylor_slope_p <= 2.3
+        assert cert.delta_Rq < 0
+        # along the profile the worst case only sees the half-width, so the
+        # slope is the symmetric closed form at gamma* = hw^2 / (1 + hw^2)
+        hw = (hi - lo) / 2
+        gamma = cert.delta_star_params[0]
+        assert gamma == pytest.approx(hw**2 / (1 + hw**2), abs=1e-4)
+        assert cert.gradient_q[0] == pytest.approx(dR4_dgamma(gamma, m=hw), abs=0.02)
+        assert cert.direction == (-1.0,)
+
+    @pytest.mark.parametrize("gamma_range, face", [((0.0, 0.85), 0.85), ((0.95, 1.5), 0.95)])
+    def test_face_optimum_with_outward_descent_is_stationary(self, gamma_range, face):
+        family = AffineMeanFamily(gamma_range=Interval(*gamma_range), beta_range=Interval(-1, 1))
+        cert = refute_joint_minimaxity(M1, family, Power(2, 1), Power(4, 1), THETA3)
+        assert cert.delta_star_params == (face, 0.0)
+        assert cert.verdict is Verdict.STATIONARY_BOTH
+        assert cert.ladder == ()
+        assert cert.direction == (0.0,)
+        # the q-slope is not flat: the descent step points out of the range
+        assert abs(cert.gradient_q[0]) > 1.0
+        assert math.copysign(1.0, cert.gradient_q[0]) == (-1.0 if face == 0.85 else 1.0)
+
+    def test_face_optimum_with_inward_descent_walks_the_ladder(self):
+        # the L2 optimum 0.9 is the upper face; the quartic descent is -gamma
+        family = AffineMeanFamily(gamma_range=Interval(0, 0.9), beta_range=Interval(-1, 1))
+        cert = refute_joint_minimaxity(M1, family, Power(2, 1), Power(4, 1), THETA3)
+        assert cert.delta_star_params[0] == 0.9
+        assert cert.verdict is Verdict.REFUTED
+        # one-sided slope, within h * R'' of the two-sided one
+        assert cert.gradient_q[0] == pytest.approx(dR4_dgamma(0.9), abs=0.02)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        hw=st.floats(min_value=0.5, max_value=5.0),
+        c=st.floats(min_value=-5.0, max_value=5.0),
+        n=st.sampled_from([1, 4, 25]),
+    )
+    def test_certificate_is_shift_equivariant(self, hw, c, n):
+        model = GaussianLocationModel(n=n)
+        # beta* = (1 - gamma) * c never reaches the ends of this beta range
+        wide = Interval(-abs(c) - 1.0, abs(c) + 1.0)
+        family = AffineMeanFamily(gamma_range=Interval(0, 1.5), beta_range=wide)
+        centred = refute_joint_minimaxity(
+            model, family, Power(2, 1), Power(4, 1), Interval(-hw, hw), OPTS
+        )
+        shifted = refute_joint_minimaxity(
+            model, family, Power(2, 1), Power(4, 1), Interval(c - hw, c + hw), OPTS
+        )
+        assert shifted.verdict is centred.verdict
+        # abs: the round-off floor of a difference quotient, ulp(R) / fd_step,
+        # which dominates at near-flat slopes (StationaryBoth, n = 25)
+        assert shifted.gradient_q[0] == pytest.approx(centred.gradient_q[0], rel=1e-9, abs=1e-12)
 
 
 class TestSignPerturbation:
