@@ -26,7 +26,7 @@ import sys
 import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from . import __version__
 from .config import RunConfig, SectionView, load_config
@@ -48,7 +48,7 @@ from .exclusivity import (
     mean_shift_risk,
     mean_shift_risk_deriv,
 )
-from .losses import classify_exponent
+from .losses import DEFAULT_POINTS, DEFAULT_WINDOW, classify_exponent
 from .minimax import MedianShiftFamily, SolveOptions, solve_minimax
 from .risk import MonteCarlo, Quadrature, risk
 from .serialize import (
@@ -130,14 +130,12 @@ _REFUTE_KEYS = tuple(f.name for f in fields(RefuteOptions) if f.name != "solve")
 
 
 def _read_options(view: SectionView, base, names: Sequence[str]):
-    """`base` with each field in `names` that the section sets, read as an
-    int or a float after the type of the field's default."""
-    changes = {}
-    for name in names:
-        if view.has(name):
-            read = view.int if isinstance(getattr(base, name), int) else view.float
-            changes[name] = read(name)
-    return replace(base, **changes)
+    """`base` with each integer field in `names` that the section sets."""
+    changes = {name: view.int(name) for name in names if view.has(name)}
+    try:
+        return replace(base, **changes)
+    except ValueError as exc:
+        raise ConfigError(f"[{view.name}]: {exc}") from None
 
 
 def _solve_options(view: SectionView, seed: Optional[int]) -> SolveOptions:
@@ -146,6 +144,8 @@ def _solve_options(view: SectionView, seed: Optional[int]) -> SolveOptions:
 
 def cmd_risk(cfg: RunConfig, args, out_dir: Path, seed: Optional[int]) -> int:
     view = cfg.section("risk")
+    view.reject_unknown(("estimator", "loss", "thetas", "theta_lo", "theta_hi", "theta_count",
+                         "method", "samples"))
     est = cfg.estimator(view.str("estimator"))
     loss = cfg.loss(view.str("loss"))
     if view.has("thetas"):
@@ -159,7 +159,7 @@ def cmd_risk(cfg: RunConfig, args, out_dir: Path, seed: Optional[int]) -> int:
 
     method_name = view.str("method", "quadrature")
     if method_name == "quadrature":
-        method = Quadrature(view.int("nodes", 200))
+        method = Quadrature()
     elif method_name == "monte_carlo":
         mc_seed = _require_seed(seed, "when method = monte_carlo")
         method = MonteCarlo(view.int("samples", 100_000), mc_seed)
@@ -233,18 +233,17 @@ def cmd_exclusivity(cfg: RunConfig, args, out_dir: Path, seed: Optional[int]) ->
 
 def cmd_shift_risk(cfg: RunConfig, args, out_dir: Path, seed: Optional[int]) -> int:
     view = cfg.section("shift_risk")
+    view.reject_unknown(("q", "n", "alphas"))
     q = view.float("q")
     n = view.int("n", cfg.model.n)
-    nodes = view.int("nodes", 200)
-    fd_step = view.float("fd_step", 1e-5)
     alphas = view.floats("alphas")
 
     rows = []
     positive_signs = set()
     for alpha in alphas:
-        value = mean_shift_risk(alpha, n, q, nodes)
-        d_analytic = mean_shift_risk_deriv(alpha, n, q, "analytic", nodes)
-        d_fd = mean_shift_risk_deriv(alpha, n, q, "fd", nodes, fd_step)
+        value = mean_shift_risk(alpha, n, q)
+        d_analytic = mean_shift_risk_deriv(alpha, n, q, "analytic")
+        d_fd = mean_shift_risk_deriv(alpha, n, q, "fd")
         rows.append([alpha, value, d_analytic, d_fd])
         if alpha > 0:
             positive_signs.add(1 if d_analytic > 0 else (-1 if d_analytic < 0 else 0))
@@ -274,17 +273,15 @@ def cmd_shift_risk(cfg: RunConfig, args, out_dir: Path, seed: Optional[int]) -> 
 
 
 def cmd_classify(cfg: RunConfig, args, out_dir: Path, seed: Optional[int]) -> int:
-    names: List[str]
-    window = None
-    points = 16
+    names = sorted(cfg.losses)
+    window, points = DEFAULT_WINDOW, DEFAULT_POINTS
     if cfg.has_section("classify"):
         view = cfg.section("classify")
-        names = view.names("losses") if view.has("losses") else sorted(cfg.losses)
-        if view.has("window_lo") or view.has("window_hi"):
-            window = (view.float("window_lo", 1e-5), view.float("window_hi", 1e-2))
+        view.reject_unknown(("losses", "window_lo", "window_hi", "points"))
+        if view.has("losses"):
+            names = view.names("losses")
+        window = (view.float("window_lo", window[0]), view.float("window_hi", window[1]))
         points = view.int("points", points)
-    else:
-        names = sorted(cfg.losses)
     if not names:
         raise ConfigError("no losses to classify; define [loss NAME] sections")
 
@@ -292,10 +289,7 @@ def cmd_classify(cfg: RunConfig, args, out_dir: Path, seed: Optional[int]) -> in
     print(f"{'loss':<16}{'p_hat':>14}{'c_hat':>14}{'fit_residual':>16}")
     for name in names:
         loss = cfg.loss(name)
-        kwargs = {"points": points}
-        if window is not None:
-            kwargs["window"] = window
-        result = classify_exponent(loss, **kwargs)
+        result = classify_exponent(loss, window=window, points=points)
         rows.append([name, result.p_hat, result.c_hat, result.fit_residual])
         print(f"{name:<16}{result.p_hat:>14.6f}{result.c_hat:>14.6f}{result.fit_residual:>16.3e}")
     _write_csv(

@@ -20,8 +20,10 @@ Shared blocks:
 
 Losses and estimators compose by reference to other named sections.
 Command-specific sections ([risk], [minimax], [exclusivity], [shift_risk],
-[classify]) are read by the CLI.  The format is plain text: diffable and
-hashable, and the output headers record the config's SHA-256.
+[classify]) are read by the CLI.  Every section rejects a key it does not
+take, so a misspelling is a config error rather than a default.  The
+format is plain text: diffable and hashable, and the output headers record
+the config's SHA-256.
 """
 
 from __future__ import annotations
@@ -46,6 +48,15 @@ from .model import (
 
 LOSS_PREFIX = "loss "
 ESTIMATOR_PREFIX = "estimator "
+
+# The keys each kind of [loss NAME], [estimator NAME] and [family] takes
+# beside `kind`.
+_LOSS_KEYS = {"power": ("p", "c"), "scaled": ("factor", "inner"), "sum": ("terms",),
+              "huber": ("k",)}
+_ESTIMATOR_KEYS = {"affine_mean": ("gamma", "beta"), "sample_median": ("beta",),
+                   "sign_perturbed": ("base", "epsilon", "theta_star")}
+_FAMILY_KEYS = {"affine_mean": ("gamma_lo", "gamma_hi", "beta_lo", "beta_hi"),
+                "median_shift": ("beta_lo", "beta_hi")}
 
 
 @dataclass
@@ -96,6 +107,15 @@ class SectionView:
             if key not in known:
                 raise ConfigError(f"[{self.name}] has unknown key {key!r}")
 
+    def kind(self, keys_by_kind: Dict[str, Sequence[str]], what: str) -> str:
+        """The section's `kind`, once it is known and every other key is one
+        that kind takes."""
+        kind = self.str("kind")
+        if kind not in keys_by_kind:
+            raise ConfigError(f"[{self.name}] kind = {kind!r} is not {what} kind")
+        self.reject_unknown(("kind", *keys_by_kind[kind]))
+        return kind
+
     def str(self, key: str, default: Optional[str] = None) -> str:
         if key not in self._proxy:
             if default is not None:
@@ -142,7 +162,7 @@ def _build_loss(name: str, cfg: configparser.ConfigParser, cache: Dict[str, Loss
         raise ConfigError(f"loss {name!r} references itself (directly or via a cycle)")
     building.add(name)
     view = SectionView(section_name, cfg[section_name])
-    kind = view.str("kind")
+    kind = view.kind(_LOSS_KEYS, "a loss")
     try:
         if kind == "power":
             loss: LossSpec = Power(p=view.float("p"), c=view.float("c", 1.0))
@@ -152,10 +172,8 @@ def _build_loss(name: str, cfg: configparser.ConfigParser, cache: Dict[str, Loss
         elif kind == "sum":
             terms = [_build_loss(t, cfg, cache, building) for t in view.names("terms")]
             loss = SumLoss(terms)
-        elif kind == "huber":
-            loss = Huber(k=view.float("k"))
         else:
-            raise ConfigError(f"[{section_name}] kind = {kind!r} is not a loss kind")
+            loss = Huber(k=view.float("k"))
     except ValueError as exc:
         raise ConfigError(f"[{section_name}]: {exc}") from exc
     building.discard(name)
@@ -174,21 +192,19 @@ def _build_estimator(name: str, cfg: configparser.ConfigParser,
         raise ConfigError(f"estimator {name!r} references itself")
     building.add(name)
     view = SectionView(section_name, cfg[section_name])
-    kind = view.str("kind")
+    kind = view.kind(_ESTIMATOR_KEYS, "an estimator")
     try:
         if kind == "affine_mean":
             est: EstimatorSpec = AffineMean(gamma=view.float("gamma"), beta=view.float("beta", 0.0))
         elif kind == "sample_median":
             est = SampleMedian(beta=view.float("beta", 0.0))
-        elif kind == "sign_perturbed":
+        else:
             base = _build_estimator(view.str("base"), cfg, cache, building)
             est = SignPerturbed(
                 base=base,
                 epsilon=view.float("epsilon"),
                 theta_star=view.float("theta_star"),
             )
-        else:
-            raise ConfigError(f"[{section_name}] kind = {kind!r} is not an estimator kind")
     except ValueError as exc:
         raise ConfigError(f"[{section_name}]: {exc}") from exc
     building.discard(name)
@@ -200,20 +216,18 @@ def _build_family(cfg: configparser.ConfigParser) -> Optional[FamilySpec]:
     if not cfg.has_section("family"):
         return None
     view = SectionView("family", cfg["family"])
-    kind = view.str("kind")
+    kind = view.kind(_FAMILY_KEYS, "a family")
     try:
         if kind == "affine_mean":
             return AffineMeanFamily(
                 gamma_range=Interval(view.float("gamma_lo"), view.float("gamma_hi")),
                 beta_range=Interval(view.float("beta_lo"), view.float("beta_hi")),
             )
-        if kind == "median_shift":
-            return MedianShiftFamily(
-                beta_range=Interval(view.float("beta_lo"), view.float("beta_hi"))
-            )
+        return MedianShiftFamily(
+            beta_range=Interval(view.float("beta_lo"), view.float("beta_hi"))
+        )
     except ValueError as exc:
         raise ConfigError(f"[family]: {exc}") from exc
-    raise ConfigError(f"[family] kind = {kind!r} is not a family kind")
 
 
 def load_config(path) -> RunConfig:
@@ -233,6 +247,7 @@ def load_config(path) -> RunConfig:
     if not parser.has_section("model"):
         raise ConfigError("missing [model] section")
     model_view = SectionView("model", parser["model"])
+    model_view.reject_unknown(("n", "sigma"))
     try:
         model = GaussianLocationModel(
             n=model_view.int("n"), sigma=model_view.float("sigma", 1.0)
@@ -243,6 +258,7 @@ def load_config(path) -> RunConfig:
     if not parser.has_section("theta"):
         raise ConfigError("missing [theta] section")
     theta_view = SectionView("theta", parser["theta"])
+    theta_view.reject_unknown(("lo", "hi"))
     try:
         theta_interval = Interval(theta_view.float("lo"), theta_view.float("hi"))
     except ValueError as exc:
@@ -257,8 +273,11 @@ def load_config(path) -> RunConfig:
             _build_estimator(section[len(ESTIMATOR_PREFIX):], parser, estimators, set())
 
     seed: Optional[int] = None
-    if parser.has_section("run") and "seed" in parser["run"]:
-        seed = SectionView("run", parser["run"]).int("seed")
+    if parser.has_section("run"):
+        run_view = SectionView("run", parser["run"])
+        run_view.reject_unknown(("seed",))
+        if run_view.has("seed"):
+            seed = run_view.int("seed")
 
     return RunConfig(
         model=model,

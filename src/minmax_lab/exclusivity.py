@@ -51,7 +51,7 @@ from .minimax import (
     worst_case_at,
     worst_case_on_profile,
 )
-from .quadrature import DEFAULT_NODES, gaussian_expectation
+from .quadrature import gaussian_expectation
 from .risk import MonteCarlo, WorstCaseResult, worst_case_risk
 
 
@@ -89,12 +89,13 @@ class RefutationCertificate:
 @dataclass(frozen=True)
 class RefuteOptions:
     solve: SolveOptions = field(default_factory=SolveOptions)
-    fd_step: float = 1e-4
-    alpha0: float = 0.1
     halvings: int = 8
-    taylor_points: int = 4
-    stationarity_rtol: float = 1e-2
-    min_exponent_gap: float = 0.05
+
+    def __post_init__(self):
+        # past 52 halvings the step 0.1 / 2**k no longer moves an x of
+        # order 1 in double precision
+        if not 1 <= self.halvings <= 52:
+            raise ValueError(f"halvings must be in [1, 52], got {self.halvings}")
 
 
 def grad_worst_case(
@@ -103,13 +104,11 @@ def grad_worst_case(
     params: Sequence[float],
     loss: LossSpec,
     theta_interval: Interval,
-    h: float = 1e-4,
     opts: Optional[SolveOptions] = None,
 ) -> np.ndarray:
     """Central finite-difference gradient of sup_theta risk over all family
     parameters: the acceptance gate checks it; the refutation does not use it."""
-    if h <= 0:
-        raise ValueError(f"h must be > 0, got {h}")
+    h = 1e-4
     if opts is None:
         opts = SolveOptions()
     params = np.asarray(params, dtype=float)
@@ -143,9 +142,9 @@ def refute_joint_minimaxity(
     """Certificate that the loss_p family optimum is (or is not) improvable
     for loss_q.
 
-    Requires both local exponents > 1 and separated by more than the
-    configured gap; equal-class pairs are rejected up front because positive
-    scaling never leaves a class.  `p_solution`, when given, must be the
+    Requires both local exponents > 1 and separated by more than 0.05;
+    equal-class pairs are rejected up front because positive scaling never
+    leaves a class.  `p_solution`, when given, must be the
     result of solve_minimax for loss_p with the same model, family, interval
     and `opts.solve`; it is used instead of solving that problem again.
     """
@@ -158,10 +157,10 @@ def refute_joint_minimaxity(
         raise ExponentPreconditionError(
             f"both local exponents must exceed 1, got {cls_p.p_hat:.4f} and {cls_q.p_hat:.4f}"
         )
-    if abs(cls_p.p_hat - cls_q.p_hat) <= opts.min_exponent_gap:
+    if abs(cls_p.p_hat - cls_q.p_hat) <= 0.05:
         raise ExponentPreconditionError(
             f"local exponents {cls_p.p_hat:.4f} and {cls_q.p_hat:.4f} are in the "
-            f"same class (gap <= {opts.min_exponent_gap})"
+            "same class (gap <= 0.05)"
         )
 
     mm = p_solution
@@ -178,7 +177,7 @@ def refute_joint_minimaxity(
 
     def derivative(loss: LossSpec) -> float:
         # central in the interior, one-sided at a face of the range
-        lo, hi = max(x - opts.fd_step, box.lo), min(x + opts.fd_step, box.hi)
+        lo, hi = max(x - 1e-4, box.lo), min(x + 1e-4, box.hi)
         return (worst(loss, hi) - worst(loss, lo)) / (hi - lo)
 
     rp0 = mm.minimax_value
@@ -188,18 +187,18 @@ def refute_joint_minimaxity(
     # KKT on an interval: the q-risk is flat, or its descent step would
     # leave the range through the face x sits on
     face = box.hi if step > 0 else box.lo
-    stationary = abs(g) <= opts.stationarity_rtol * max(1.0, abs(rq0)) or x == face
+    stationary = abs(g) <= 1e-2 * max(1.0, abs(rq0)) or x == face
 
     ladder = []
     for k in range(0 if stationary else opts.halvings):
-        alpha = opts.alpha0 / 2.0**k
+        alpha = 0.1 / 2.0**k
         x_k = x + alpha * step
         if box.contains(x_k):
             ladder.append(LadderPoint(alpha, worst(loss_p, x_k) - rp0, worst(loss_q, x_k) - rq0))
 
     successes = [pt for pt in ladder if pt.delta_Rq < 0.0]
     fit_pts = [pt for pt in successes if pt.delta_Rp != 0.0]
-    fit_pts = sorted(fit_pts, key=lambda pt: pt.alpha)[: opts.taylor_points]
+    fit_pts = sorted(fit_pts, key=lambda pt: pt.alpha)[:4]
     slope = None
     if len(fit_pts) >= 2:
         xs = np.log([pt.alpha for pt in fit_pts])
@@ -239,8 +238,6 @@ def sign_perturbation_risk(
     theta_interval: Interval,
     mc_samples: int,
     seed: int,
-    grid: int = 64,
-    refine_tol: float = 1e-6,
 ) -> Tuple[WorstCaseResult, WorstCaseResult]:
     """Worst-case risks of a base rule and its sign-flip perturbation.
 
@@ -258,18 +255,12 @@ def sign_perturbation_risk(
         if epsilon == 0.0
         else SignPerturbed(base=base_est, epsilon=float(epsilon), theta_star=float(theta_star))
     )
-    base = worst_case_risk(
-        model, base_est, loss, theta_interval, grid=grid, refine_tol=refine_tol, method=method
-    )
-    perturbed = worst_case_risk(
-        model, perturbed_est, loss, theta_interval, grid=grid, refine_tol=refine_tol, method=method
-    )
+    base = worst_case_risk(model, base_est, loss, theta_interval, grid=64, method=method)
+    perturbed = worst_case_risk(model, perturbed_est, loss, theta_interval, grid=64, method=method)
     return base, perturbed
 
 
-def mean_shift_risk(
-    alpha: float, n: int = 1, q: float = 2.0, nodes: int = DEFAULT_NODES
-) -> float:
+def mean_shift_risk(alpha: float, n: int = 1, q: float = 2.0) -> float:
     """E|Z/sqrt(n) - alpha|^q for standard normal Z, by split quadrature.
 
     This is the risk of the mean shifted by alpha under the power-q loss,
@@ -284,7 +275,6 @@ def mean_shift_risk(
         lambda t: loss_of_error(loss, t),
         mu=-float(alpha),
         s=1.0 / math.sqrt(n),
-        nodes=nodes,
         roots=(0.0,),
     )
 
@@ -294,21 +284,19 @@ def mean_shift_risk_deriv(
     n: int = 1,
     q: float = 2.0,
     mode: Literal["analytic", "fd"] = "analytic",
-    nodes: int = DEFAULT_NODES,
-    fd_step: float = 1e-5,
 ) -> float:
     """d/d(alpha) of mean_shift_risk.
 
     analytic: -q * E[(Z/sqrt(n) - alpha) * |Z/sqrt(n) - alpha|^(q-2)];
-    fd: central difference with the given step.  The two must agree closely
+    fd: central difference with step 1e-5.  The two must agree closely
     for q >= 1.5; the sign of the result is reported as computed.
     """
     if q <= 1:
         raise ValueError(f"q must be > 1, got {q}")
     if mode == "fd":
-        up = mean_shift_risk(alpha + fd_step, n, q, nodes)
-        dn = mean_shift_risk(alpha - fd_step, n, q, nodes)
-        return (up - dn) / (2.0 * fd_step)
+        up = mean_shift_risk(alpha + 1e-5, n, q)
+        dn = mean_shift_risk(alpha - 1e-5, n, q)
+        return (up - dn) / 2e-5
     if mode != "analytic":
         raise ValueError(f"mode must be 'analytic' or 'fd', got {mode!r}")
 
@@ -319,7 +307,6 @@ def mean_shift_risk_deriv(
         signed_power,
         mu=-float(alpha),
         s=1.0 / math.sqrt(n),
-        nodes=nodes,
         roots=(0.0,),
     )
     return -q * value + 0.0  # normalizes -0.0 at symmetric shifts

@@ -127,14 +127,9 @@ def loss_breakpoints(loss: LossSpec) -> Tuple[Tuple[float, ...], Tuple[float, ..
 def scale_loss(loss: LossSpec, factor: float) -> LossSpec:
     """Multiply a loss by a strictly positive scalar.
 
-    Negative or zero factors are rejected: the loss space is closed under
-    positive scaling only.
+    Scaled rejects negative or zero factors: the loss space is closed
+    under positive scaling only.
     """
-    factor = float(factor)
-    if factor <= 0:
-        raise NonPositiveScaleError(
-            f"scale factor must be > 0 (losses form a cone), got {factor}"
-        )
     return Scaled(factor=factor, inner=loss)
 
 
@@ -150,17 +145,16 @@ class ExponentClassification:
 
 def classify_exponent(
     loss: LossSpec,
-    theta0: float = 0.0,
     window: Tuple[float, float] = DEFAULT_WINDOW,
     points: int = DEFAULT_POINTS,
 ) -> ExponentClassification:
     """Estimate the local exponent by a log-log slope fit.
 
-    Evaluates L(theta0, theta0 + h) on `points` geometrically spaced h in
-    `window` and regresses log L on log h; the slope is p_hat and
-    exp(intercept) is c_hat.  fit_residual is the largest absolute
-    regression residual, a direct read on how power-like the loss is over
-    the window.
+    Evaluates the loss at the error -h (the action theta + h) on `points`
+    geometrically spaced h in `window` and regresses log L on log h; the
+    slope is p_hat and exp(intercept) is c_hat.  fit_residual is the
+    largest absolute regression residual, a direct read on how power-like
+    the loss is over the window.
     """
     h_min, h_max = float(window[0]), float(window[1])
     if not (0.0 < h_min < h_max < 1.0):
@@ -168,7 +162,6 @@ def classify_exponent(
     if points < 8:
         raise ValueError(f"need at least 8 fit points, got {points}")
     h = np.geomspace(h_min, h_max, int(points))
-    # L(theta0, theta0 + h): the error is theta0 - (theta0 + h) = -h
     values = loss_of_error(loss, -h)
     if np.any(values <= 0) or not np.all(np.isfinite(values)):
         raise DegenerateLossError(

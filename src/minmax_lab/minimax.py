@@ -8,7 +8,7 @@ the theta interval, which beta*(gamma) = (1 - gamma) * mid, clipped to the
 beta range, minimizes for every loss.  MedianShiftFamily searches its shift.
 
 The search is scipy's bounded Brent method (Brent 1973).  It stops within
-xatol of the minimum, so its point is compared with the family's
+1e-5 of the minimum, so its point is compared with the family's
 breakpoints (range ends and kinks of the profile), and the smallest value
 wins: an optimum on a box face or at a kink comes out exactly.  Results
 are family-relative: a minimizer over the given parameter box, not a claim
@@ -105,14 +105,18 @@ FamilySpec = Union[AffineMeanFamily, MedianShiftFamily]
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Knobs for the scalar search and the risk method; defaults are the
-    documented ones."""
+    """Master seed, iteration cap of the scalar search, and Monte Carlo
+    sample count of the families without an exact Gaussian law."""
 
     seed: int = 0
-    xatol: float = 1e-5
     maxiter: int = 600
-    quad_nodes: int = 200
     mc_samples: int = 20_000
+
+    def __post_init__(self):
+        if self.maxiter < 1:
+            raise ValueError(f"maxiter must be >= 1, got {self.maxiter}")
+        if self.mc_samples < 1:
+            raise ValueError(f"mc_samples must be >= 1, got {self.mc_samples}")
 
 
 @dataclass(frozen=True)
@@ -129,7 +133,7 @@ def family_method(family: FamilySpec, opts: SolveOptions) -> RiskMethod:
     """Risk method for a family: exact quadrature when available, else
     seeded Monte Carlo with common random numbers across the whole solve."""
     if isinstance(family, AffineMeanFamily):
-        return Quadrature(opts.quad_nodes)
+        return Quadrature()
     return MonteCarlo(opts.mc_samples, derive_seed(opts.seed, 1))
 
 
@@ -183,7 +187,7 @@ def solve_minimax(
         lambda x: worst_at(float(x)).sup_value,
         bounds=(box.lo, box.hi),
         method="bounded",
-        options={"xatol": opts.xatol, "maxiter": opts.maxiter},
+        options={"xatol": 1e-5, "maxiter": opts.maxiter},
     )
     x_search = float(search.x)
     # Near a kink the search stops up to xatol away; the breakpoints hold

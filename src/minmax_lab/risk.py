@@ -3,8 +3,8 @@
 Risk at theta is E[L(theta, delta(X))] under the model at theta.  For
 affine-in-mean estimators the error is exactly mu + s*Z with Z standard
 normal; `model.error_law` gives the pair (mu, s), and the expectation is a
-segmented Gauss-Legendre integral (machine precision at the default 200
-nodes; see quadrature.py).  Every other estimator has no such law, so
+segmented Gauss-Legendre integral (machine precision at 200 nodes per
+segment; see quadrature.py).  Every other estimator has no such law, so
 Quadrature raises QuadratureUnsupportedError for it and it is handled by
 seeded Monte Carlo.
 
@@ -47,21 +47,14 @@ from .model import (
     error_draws,
     error_law,
 )
-from .quadrature import DEFAULT_NODES, gaussian_expectation
+from .quadrature import gaussian_expectation
 
 DEFAULT_GRID = 256
-DEFAULT_REFINE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class Quadrature:
     """Deterministic integration against the exact Gaussian error law."""
-
-    nodes: int = DEFAULT_NODES
-
-    def __post_init__(self):
-        if self.nodes < 2:
-            raise ValueError(f"nodes must be >= 2, got {self.nodes}")
 
 
 @dataclass(frozen=True)
@@ -135,7 +128,6 @@ def risk(
             lambda t: loss_of_error(loss, -t),
             mu,
             s,
-            method.nodes,
             kinks=tuple(-k for k in kinks),
             roots=tuple(-r for r in roots),
         )
@@ -154,10 +146,9 @@ def crosscheck_risk(
     theta: float,
     mc_samples: int,
     seed: int,
-    nodes: int = DEFAULT_NODES,
 ) -> Tuple[RiskEstimate, RiskEstimate, float]:
     """Quadrature and Monte Carlo side by side, with the discrepancy z-score."""
-    quad = risk(model, est, loss, theta, Quadrature(nodes))
+    quad = risk(model, est, loss, theta, Quadrature())
     mc = risk(model, est, loss, theta, MonteCarlo(mc_samples, seed))
     diff = abs(quad.value - mc.value)
     if diff == 0.0:
@@ -211,7 +202,6 @@ def worst_case_risk(
     loss: LossSpec,
     theta_interval: Interval,
     grid: int = DEFAULT_GRID,
-    refine_tol: float = DEFAULT_REFINE_TOL,
     method: RiskMethod = Quadrature(),
 ) -> WorstCaseResult:
     """sup over theta_interval of the risk, by the method the estimator's
@@ -219,16 +209,14 @@ def worst_case_risk(
 
     With a MonteCarlo method the same seed is reused at every theta (common
     random numbers), so the scanned function is a fixed deterministic
-    surface and the supremum is well defined.  `grid` and `refine_tol` are
-    validated on every call but used only by the grid scan.  The default
-    Quadrature method serves affine rules only; any other rule needs a
-    MonteCarlo method and raises QuadratureUnsupportedError without one.
+    surface and the supremum is well defined.  `grid` is validated on every
+    call but used only by the grid scan.  The default Quadrature method
+    serves affine rules only; any other rule needs a MonteCarlo method and
+    raises QuadratureUnsupportedError without one.
     """
     check_estimator(est)
     if grid < 16:
         raise ValueError(f"grid must be >= 16, got {grid}")
-    if refine_tol <= 0:
-        raise ValueError(f"refine_tol must be > 0, got {refine_tol}")
 
     def risk_at(theta: float) -> float:
         return risk(model, est, loss, theta, method).value
@@ -251,7 +239,7 @@ def worst_case_risk(
 
     lo = float(thetas[max(i - 1, 0)])
     hi = float(thetas[min(i + 1, grid - 1)])
-    x, fx = golden_section_max(risk_at, lo, hi, refine_tol)
+    x, fx = golden_section_max(risk_at, lo, hi, 1e-6)
     if fx > best_value:
         best_theta, best_value = x, fx
     return WorstCaseResult(best_value, best_theta, grid, "grid")

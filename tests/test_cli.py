@@ -3,10 +3,13 @@
 import csv
 import json
 import math
+import re
+import textwrap
+from pathlib import Path
 
 import pytest
 
-from minmax_lab.cli import main
+from minmax_lab.cli import _COMMANDS, main
 
 BASE = """
     [model]
@@ -428,7 +431,6 @@ class TestExclusivityCommand:
             maxiter = 50
             mc_samples = 1000
             halvings = 3
-            fd_step = 1e-4
             """
         )
         assert main(["exclusivity", "--config", str(cfg), "--out", str(out_dir)]) == 0
@@ -574,3 +576,104 @@ class TestConfigErrors:
 
     def test_nonexistent_config_file(self, tmp_path, out_dir):
         assert main(["risk", "--config", str(tmp_path / "nope.cfg"), "--out", str(out_dir)]) == 2
+
+
+# Every command's section on top of MM_BASE, so that one line added to any
+# section can be run through the command that reads it.
+ALL_SECTIONS = textwrap.dedent(MM_BASE) + textwrap.dedent(
+    """
+    [estimator mean]
+    kind = affine_mean
+    gamma = 1
+
+    [risk]
+    estimator = mean
+    loss = squared
+    thetas = 0
+
+    [minimax]
+    loss = squared
+
+    [exclusivity]
+    exponents = 2, 4
+
+    [shift_risk]
+    q = 2
+    alphas = 0
+
+    [classify]
+    losses = squared
+    """
+)
+
+# Keys that would name method constants: the code uses a fixed value, so a
+# config that sets one is refused rather than ignored.
+REMOVED_KEYS = [
+    ("minimax", "minimax", "xatol = 1e-5"),
+    ("minimax", "minimax", "quad_nodes = 200"),
+    ("exclusivity", "exclusivity", "xatol = 1e-5"),
+    ("exclusivity", "exclusivity", "quad_nodes = 200"),
+    ("exclusivity", "exclusivity", "fd_step = 0"),
+    ("exclusivity", "exclusivity", "alpha0 = 0"),
+    ("exclusivity", "exclusivity", "taylor_points = 4"),
+    ("exclusivity", "exclusivity", "stationarity_rtol = 1e-2"),
+    ("exclusivity", "exclusivity", "min_exponent_gap = 0.05"),
+    ("risk", "risk", "nodes = 200"),
+    ("shift-risk", "shift_risk", "nodes = 200"),
+    ("shift-risk", "shift_risk", "fd_step = 1e-5"),
+]
+
+# A stray key in each kind of section.
+STRAY_KEYS = [
+    ("risk", "model", "sigm = 4.0"),
+    ("risk", "theta", "mid = 0"),
+    ("risk", "run", "sed = 1"),
+    ("risk", "loss squared", "cc = 5"),
+    ("risk", "loss squared", "k = 1"),  # a huber key on a power loss
+    ("risk", "estimator mean", "bta = 0.5"),
+    ("risk", "estimator mean", "epsilon = 0.1"),  # a sign_perturbed key
+    ("risk", "risk", "sampels = 10"),
+    ("minimax", "family", "gamma = 1"),
+    ("shift-risk", "shift_risk", "alpha = 1"),
+    ("classify", "classify", "window = 1e-3"),
+]
+
+# Values of the remaining knobs outside their ranges.
+OUT_OF_RANGE = [
+    ("minimax", "minimax", "maxiter = 0"),
+    ("minimax", "minimax", "maxiter = -3"),
+    ("minimax", "minimax", "mc_samples = 0"),
+    ("exclusivity", "exclusivity", "maxiter = 0"),
+    ("exclusivity", "exclusivity", "halvings = -1"),
+    ("exclusivity", "exclusivity", "halvings = 0"),
+    ("exclusivity", "exclusivity", "halvings = 53"),
+    ("exclusivity", "exclusivity", "halvings = 2000"),
+]
+
+
+class TestEveryKeyIsChecked:
+    @pytest.mark.parametrize(
+        "command, section, line", REMOVED_KEYS + STRAY_KEYS + OUT_OF_RANGE
+    )
+    def test_exits_2_naming_section_and_key(
+        self, command, section, line, write_config, out_dir, capsys
+    ):
+        header = f"[{section}]\n"
+        cfg = write_config(ALL_SECTIONS.replace(header, header + line + "\n", 1))
+        assert main([command, "--config", str(cfg), "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        key = line.split(" = ")[0]
+        assert f"[{section}]" in err and key in err
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_readme_config_runs_every_command(command, tmp_path):
+    # the documented keys and the accepted keys must not drift apart
+    (block,) = re.findall(r"```ini\n(.*?)```", README.read_text(), re.S)
+    cfg = tmp_path / "readme.ini"
+    cfg.write_text(block)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0

@@ -70,10 +70,6 @@ class TestGradient:
         # the shared-draw sample is not exactly symmetric, so only near zero
         assert abs(g[0]) < 0.05
 
-    def test_step_must_be_positive(self):
-        with pytest.raises(ValueError):
-            grad_worst_case(M1, FAMILY, (0.9, 0.0), Power(2, 1), THETA3, h=0.0)
-
 
 class TestRefutation:
     def test_bounded_interval_pair_is_refuted(self):
@@ -173,7 +169,7 @@ class TestProfileCertificate:
             model, family, Power(2, 1), Power(4, 1), Interval(c - hw, c + hw), OPTS
         )
         assert shifted.verdict is centred.verdict
-        # abs: the round-off floor of a difference quotient, ulp(R) / fd_step,
+        # abs: the round-off floor of a difference quotient, ulp(R) / 1e-4,
         # which dominates at near-flat slopes (StationaryBoth, n = 25)
         assert shifted.gradient_q[0] == pytest.approx(centred.gradient_q[0], rel=1e-9, abs=1e-12)
 
