@@ -50,6 +50,7 @@ from .exclusivity import (
 )
 from .losses import DEFAULT_POINTS, DEFAULT_WINDOW, classify_exponent
 from .minimax import MedianShiftFamily, SolveOptions, solve_minimax
+from .model import _require_finite
 from .risk import MonteCarlo, Quadrature, risk
 from .serialize import (
     minimax_result_to_dict,
@@ -123,29 +124,20 @@ def _require_seed(seed: Optional[int], why: str) -> int:
     return seed
 
 
-# Keys of solver options that no longer exist; configs may still set them.
-_RETIRED_KEYS = ("restarts", "grid", "refine_tol", "fatol", "agreement_tol")
-_SOLVE_KEYS = tuple(f.name for f in fields(SolveOptions) if f.name != "seed")
-_REFUTE_KEYS = tuple(f.name for f in fields(RefuteOptions) if f.name != "solve")
-
-
-def _read_options(view: SectionView, base, names: Sequence[str]):
-    """`base` with each integer field in `names` that the section sets."""
-    changes = {name: view.int(name) for name in names if view.has(name)}
-    try:
-        return replace(base, **changes)
-    except ValueError as exc:
-        raise ConfigError(f"[{view.name}]: {exc}") from None
+def _read_options(view: SectionView, base):
+    """`base` with each integer field that the section sets.  The config
+    table admits only the option fields, so no other field can be set."""
+    with view.checked():
+        return replace(base, **{f.name: view.int(f.name) for f in fields(base)
+                                if view.has(f.name)})
 
 
 def _solve_options(view: SectionView, seed: Optional[int]) -> SolveOptions:
-    return _read_options(view, SolveOptions(seed=0 if seed is None else seed), _SOLVE_KEYS)
+    return _read_options(view, SolveOptions(seed=0 if seed is None else seed))
 
 
 def cmd_risk(cfg: RunConfig, args, out_dir: Path, seed: Optional[int]) -> int:
     view = cfg.section("risk")
-    view.reject_unknown(("estimator", "loss", "thetas", "theta_lo", "theta_hi", "theta_count",
-                         "method", "samples"))
     est = cfg.estimator(view.str("estimator"))
     loss = cfg.loss(view.str("loss"))
     if view.has("thetas"):
@@ -158,13 +150,15 @@ def cmd_risk(cfg: RunConfig, args, out_dir: Path, seed: Optional[int]) -> int:
         thetas = [lo + i * step for i in range(count)]
 
     method_name = view.str("method", "quadrature")
-    if method_name == "quadrature":
-        method = Quadrature()
-    elif method_name == "monte_carlo":
-        mc_seed = _require_seed(seed, "when method = monte_carlo")
-        method = MonteCarlo(view.int("samples", 100_000), mc_seed)
-    else:
-        raise ConfigError(f"[risk] method = {method_name!r} is not a risk method")
+    with view.checked():
+        thetas = [_require_finite("theta", theta) for theta in thetas]
+        if method_name == "quadrature":
+            method = Quadrature()
+        elif method_name == "monte_carlo":
+            mc_seed = _require_seed(seed, "when method = monte_carlo")
+            method = MonteCarlo(view.int("samples", 100_000), mc_seed)
+        else:
+            raise ConfigError(f"[risk] method = {method_name!r} is not a risk method")
 
     rows = []
     for theta in thetas:
@@ -177,7 +171,6 @@ def cmd_risk(cfg: RunConfig, args, out_dir: Path, seed: Optional[int]) -> int:
 
 def cmd_minimax(cfg: RunConfig, args, out_dir: Path, seed: Optional[int]) -> int:
     view = cfg.section("minimax")
-    view.reject_unknown(("loss", *_SOLVE_KEYS, *_RETIRED_KEYS))
     loss = cfg.loss(view.str("loss"))
     if cfg.family is None:
         raise ConfigError("missing [family] section (minimax needs a family)")
@@ -200,13 +193,12 @@ def cmd_minimax(cfg: RunConfig, args, out_dir: Path, seed: Optional[int]) -> int
 
 def cmd_exclusivity(cfg: RunConfig, args, out_dir: Path, seed: Optional[int]) -> int:
     view = cfg.section("exclusivity")
-    view.reject_unknown(("exponents", *_SOLVE_KEYS, *_REFUTE_KEYS, *_RETIRED_KEYS))
     exponents = view.floats("exponents")
     if cfg.family is None:
         raise ConfigError("missing [family] section (exclusivity needs a family)")
     if isinstance(cfg.family, MedianShiftFamily):
         seed = _require_seed(seed, "when the family risk is Monte Carlo (median_shift)")
-    opts = _read_options(view, RefuteOptions(solve=_solve_options(view, seed)), _REFUTE_KEYS)
+    opts = _read_options(view, RefuteOptions(solve=_solve_options(view, seed)))
     report = check_exclusivity_partition(
         cfg.model, cfg.family, exponents, cfg.theta_interval, opts
     )
@@ -233,20 +225,21 @@ def cmd_exclusivity(cfg: RunConfig, args, out_dir: Path, seed: Optional[int]) ->
 
 def cmd_shift_risk(cfg: RunConfig, args, out_dir: Path, seed: Optional[int]) -> int:
     view = cfg.section("shift_risk")
-    view.reject_unknown(("q", "n", "alphas"))
     q = view.float("q")
     n = view.int("n", cfg.model.n)
     alphas = view.floats("alphas")
 
     rows = []
     positive_signs = set()
-    for alpha in alphas:
-        value = mean_shift_risk(alpha, n, q)
-        d_analytic = mean_shift_risk_deriv(alpha, n, q, "analytic")
-        d_fd = mean_shift_risk_deriv(alpha, n, q, "fd")
-        rows.append([alpha, value, d_analytic, d_fd])
-        if alpha > 0:
-            positive_signs.add(1 if d_analytic > 0 else (-1 if d_analytic < 0 else 0))
+    # the shift-risk functions raise a ValueError only for q, n or alpha
+    with view.checked():
+        for alpha in alphas:
+            value = mean_shift_risk(alpha, n, q)
+            d_analytic = mean_shift_risk_deriv(alpha, n, q, "analytic")
+            d_fd = mean_shift_risk_deriv(alpha, n, q, "fd")
+            rows.append([alpha, value, d_analytic, d_fd])
+            if alpha > 0:
+                positive_signs.add(1 if d_analytic > 0 else (-1 if d_analytic < 0 else 0))
 
     if not positive_signs:
         sign_summary = "no-positive-shifts"
@@ -273,23 +266,21 @@ def cmd_shift_risk(cfg: RunConfig, args, out_dir: Path, seed: Optional[int]) -> 
 
 
 def cmd_classify(cfg: RunConfig, args, out_dir: Path, seed: Optional[int]) -> int:
-    names = sorted(cfg.losses)
-    window, points = DEFAULT_WINDOW, DEFAULT_POINTS
-    if cfg.has_section("classify"):
-        view = cfg.section("classify")
-        view.reject_unknown(("losses", "window_lo", "window_hi", "points"))
-        if view.has("losses"):
-            names = view.names("losses")
-        window = (view.float("window_lo", window[0]), view.float("window_hi", window[1]))
-        points = view.int("points", points)
+    view = cfg.section("classify", required=False)
+    names = view.names("losses") if view.has("losses") else sorted(cfg.losses)
     if not names:
         raise ConfigError("no losses to classify; define [loss NAME] sections")
+    window = (view.float("window_lo", DEFAULT_WINDOW[0]),
+              view.float("window_hi", DEFAULT_WINDOW[1]))
+    points = view.int("points", DEFAULT_POINTS)
+    # classify_exponent raises a ValueError only for the window or the points
+    with view.checked():
+        results = [classify_exponent(cfg.loss(name), window=window, points=points)
+                   for name in names]
 
     rows = []
     print(f"{'loss':<16}{'p_hat':>14}{'c_hat':>14}{'fit_residual':>16}")
-    for name in names:
-        loss = cfg.loss(name)
-        result = classify_exponent(loss, window=window, points=points)
+    for name, result in zip(names, results):
         rows.append([name, result.p_hat, result.c_hat, result.fit_residual])
         print(f"{name:<16}{result.p_hat:>14.6f}{result.c_hat:>14.6f}{result.fit_residual:>16.3e}")
     _write_csv(

@@ -1,6 +1,7 @@
 """Run configuration: a flat INI-style key-value format with named sections.
 
-Shared blocks:
+`SECTIONS` is the whole contract: every section a config may hold and the
+keys each takes.
 
     [model]                  n = 1
                              sigma = 1.0
@@ -17,26 +18,31 @@ Shared blocks:
     [family]                 kind = affine_mean | median_shift
                              gamma_lo/gamma_hi, beta_lo/beta_hi
     [run]                    seed = 42
+    [risk], [minimax], [exclusivity], [shift_risk], [classify]
+                             one per command, read by the CLI
 
-Losses and estimators compose by reference to other named sections.
-Command-specific sections ([risk], [minimax], [exclusivity], [shift_risk],
-[classify]) are read by the CLI.  Every section rejects a key it does not
-take, so a misspelling is a config error rather than a default.  The
-format is plain text: diffable and hashable, and the output headers record
-the config's SHA-256.
+`load_config` checks every section name and key against the table before it
+reads a value, so a misspelled section or key is a config error under every
+command rather than a default.  Losses and estimators compose by reference
+to other named sections.  Values are literal (`%` is not interpolated).  A
+library ValueError about a section's values is re-raised as a ConfigError
+that names the section (`SectionView.checked`).  The format is plain text:
+diffable and hashable, and the output headers record the config's SHA-256.
 """
 
 from __future__ import annotations
 
 import configparser
 import hashlib
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from .errors import ConfigError
+from .exclusivity import RefuteOptions
 from .losses import Huber, LossSpec, Power, Scaled, SumLoss
-from .minimax import AffineMeanFamily, FamilySpec, MedianShiftFamily
+from .minimax import AffineMeanFamily, FamilySpec, MedianShiftFamily, SolveOptions
 from .model import (
     AffineMean,
     EstimatorSpec,
@@ -46,17 +52,40 @@ from .model import (
     SignPerturbed,
 )
 
-LOSS_PREFIX = "loss "
-ESTIMATOR_PREFIX = "estimator "
+# Keys of solver options that no longer exist; configs may still set them,
+# and they are ignored.
+RETIRED_KEYS = ("restarts", "grid", "refine_tol", "fatol", "agreement_tol")
+_SOLVE_KEYS = tuple(f.name for f in fields(SolveOptions) if f.name != "seed")
+_REFUTE_KEYS = tuple(f.name for f in fields(RefuteOptions) if f.name != "solve")
 
-# The keys each kind of [loss NAME], [estimator NAME] and [family] takes
-# beside `kind`.
-_LOSS_KEYS = {"power": ("p", "c"), "scaled": ("factor", "inner"), "sum": ("terms",),
-              "huber": ("k",)}
-_ESTIMATOR_KEYS = {"affine_mean": ("gamma", "beta"), "sample_median": ("beta",),
-                   "sign_perturbed": ("base", "epsilon", "theta_star")}
-_FAMILY_KEYS = {"affine_mean": ("gamma_lo", "gamma_hi", "beta_lo", "beta_hi"),
-                "median_shift": ("beta_lo", "beta_hi")}
+# Every section and the keys it takes.  [loss NAME] and [estimator NAME]
+# carry a name; they and [family] take `kind` and the keys of that kind.
+NAMED = ("loss", "estimator")
+SECTIONS: Dict[str, Any] = {
+    "model": ("n", "sigma"),
+    "theta": ("lo", "hi"),
+    "loss": {"power": ("p", "c"), "scaled": ("factor", "inner"), "sum": ("terms",),
+             "huber": ("k",)},
+    "estimator": {"affine_mean": ("gamma", "beta"), "sample_median": ("beta",),
+                  "sign_perturbed": ("base", "epsilon", "theta_star")},
+    "family": {"affine_mean": ("gamma_lo", "gamma_hi", "beta_lo", "beta_hi"),
+               "median_shift": ("beta_lo", "beta_hi")},
+    "run": ("seed",),
+    "risk": ("estimator", "loss", "thetas", "theta_lo", "theta_hi", "theta_count", "method",
+             "samples"),
+    "minimax": ("loss", *_SOLVE_KEYS, *RETIRED_KEYS),
+    "exclusivity": ("exponents", *_SOLVE_KEYS, *_REFUTE_KEYS, *RETIRED_KEYS),
+    "shift_risk": ("q", "n", "alphas"),
+    "classify": ("losses", "window_lo", "window_hi", "points"),
+}
+
+
+def _article(word: str) -> str:
+    return "an" if word[0] in "aeiou" else "a"
+
+
+def _undefined(head: str, name: str) -> ConfigError:
+    return ConfigError(f"unknown {head} {name!r}; define {_article(head)} [{head} {name}] section")
 
 
 @dataclass
@@ -70,24 +99,17 @@ class RunConfig:
     sha256: str
     _parser: configparser.ConfigParser
 
-    def section(self, name: str) -> "SectionView":
-        if not self._parser.has_section(name):
-            raise ConfigError(f"missing [{name}] section")
-        return SectionView(name, self._parser[name])
-
-    def has_section(self, name: str) -> bool:
-        return self._parser.has_section(name)
+    def section(self, name: str, required: bool = True) -> "SectionView":
+        return _section(self._parser, name, required)
 
     def loss(self, name: str) -> LossSpec:
         if name not in self.losses:
-            raise ConfigError(f"unknown loss {name!r}; define a [loss {name}] section")
+            raise _undefined("loss", name)
         return self.losses[name]
 
     def estimator(self, name: str) -> EstimatorSpec:
         if name not in self.estimators:
-            raise ConfigError(
-                f"unknown estimator {name!r}; define an [estimator {name}] section"
-            )
+            raise _undefined("estimator", name)
         return self.estimators[name]
 
 
@@ -101,20 +123,13 @@ class SectionView:
     def has(self, key: str) -> bool:
         return key in self._proxy
 
-    def reject_unknown(self, known: Sequence[str]) -> None:
-        """Raise on a key not in `known`, so a misspelling is not ignored."""
-        for key in self._proxy:
-            if key not in known:
-                raise ConfigError(f"[{self.name}] has unknown key {key!r}")
-
-    def kind(self, keys_by_kind: Dict[str, Sequence[str]], what: str) -> str:
-        """The section's `kind`, once it is known and every other key is one
-        that kind takes."""
-        kind = self.str("kind")
-        if kind not in keys_by_kind:
-            raise ConfigError(f"[{self.name}] kind = {kind!r} is not {what} kind")
-        self.reject_unknown(("kind", *keys_by_kind[kind]))
-        return kind
+    @contextmanager
+    def checked(self) -> Iterator[None]:
+        """Name this section in a ValueError the library raises on its values."""
+        try:
+            yield
+        except ValueError as exc:
+            raise ConfigError(f"[{self.name}]: {exc}") from exc
 
     def str(self, key: str, default: Optional[str] = None) -> str:
         if key not in self._proxy:
@@ -151,83 +166,100 @@ class SectionView:
         return [tok for tok in raw.replace(",", " ").split() if tok]
 
 
-def _build_loss(name: str, cfg: configparser.ConfigParser, cache: Dict[str, LossSpec],
-                building: set) -> LossSpec:
-    if name in cache:
-        return cache[name]
-    section_name = LOSS_PREFIX + name
-    if not cfg.has_section(section_name):
-        raise ConfigError(f"unknown loss {name!r}; define a [{section_name}] section")
-    if name in building:
-        raise ConfigError(f"loss {name!r} references itself (directly or via a cycle)")
-    building.add(name)
-    view = SectionView(section_name, cfg[section_name])
-    kind = view.kind(_LOSS_KEYS, "a loss")
-    try:
-        if kind == "power":
-            loss: LossSpec = Power(p=view.float("p"), c=view.float("c", 1.0))
-        elif kind == "scaled":
-            inner = _build_loss(view.str("inner"), cfg, cache, building)
-            loss = Scaled(factor=view.float("factor"), inner=inner)
-        elif kind == "sum":
-            terms = [_build_loss(t, cfg, cache, building) for t in view.names("terms")]
-            loss = SumLoss(terms)
-        else:
-            loss = Huber(k=view.float("k"))
-    except ValueError as exc:
-        raise ConfigError(f"[{section_name}]: {exc}") from exc
-    building.discard(name)
-    cache[name] = loss
-    return loss
+def _section(parser: configparser.ConfigParser, name: str, required: bool = True) -> SectionView:
+    """The section `name`; an absent optional one reads as empty."""
+    if parser.has_section(name):
+        return SectionView(name, parser[name])
+    if required:
+        raise ConfigError(f"missing [{name}] section")
+    return SectionView(name, {})
 
 
-def _build_estimator(name: str, cfg: configparser.ConfigParser,
-                     cache: Dict[str, EstimatorSpec], building: set) -> EstimatorSpec:
-    if name in cache:
-        return cache[name]
-    section_name = ESTIMATOR_PREFIX + name
-    if not cfg.has_section(section_name):
-        raise ConfigError(f"unknown estimator {name!r}; define a [{section_name}] section")
-    if name in building:
-        raise ConfigError(f"estimator {name!r} references itself")
-    building.add(name)
-    view = SectionView(section_name, cfg[section_name])
-    kind = view.kind(_ESTIMATOR_KEYS, "an estimator")
-    try:
-        if kind == "affine_mean":
-            est: EstimatorSpec = AffineMean(gamma=view.float("gamma"), beta=view.float("beta", 0.0))
-        elif kind == "sample_median":
-            est = SampleMedian(beta=view.float("beta", 0.0))
-        else:
-            base = _build_estimator(view.str("base"), cfg, cache, building)
-            est = SignPerturbed(
-                base=base,
-                epsilon=view.float("epsilon"),
-                theta_star=view.float("theta_star"),
-            )
-    except ValueError as exc:
-        raise ConfigError(f"[{section_name}]: {exc}") from exc
-    building.discard(name)
-    cache[name] = est
-    return est
+def _check_sections(parser: configparser.ConfigParser) -> None:
+    """Raise on a section, a kind or a key that SECTIONS does not name."""
+    for section in parser.sections():
+        head, _, name = section.partition(" ")
+        if head not in SECTIONS or bool(name) != (head in NAMED):
+            raise ConfigError(f"unknown section [{section}]")
+        keys = SECTIONS[head]
+        if isinstance(keys, dict):
+            kind = SectionView(section, parser[section]).str("kind")
+            if kind not in keys:
+                raise ConfigError(
+                    f"[{section}] kind = {kind!r} is not {_article(head)} {head} kind"
+                )
+            keys = ("kind", *keys[kind])
+        for key in parser[section]:
+            if key not in keys:
+                raise ConfigError(f"[{section}] has unknown key {key!r}")
 
 
-def _build_family(cfg: configparser.ConfigParser) -> Optional[FamilySpec]:
-    if not cfg.has_section("family"):
+def _build_named(parser: configparser.ConfigParser, head: str,
+                 build: Callable[[SectionView, Callable[[str], Any]], Any]) -> Dict[str, Any]:
+    """Every [HEAD NAME] section, each built once by `build(view, resolve)`,
+    where `resolve(name)` returns the section it refers to and refuses a
+    cycle."""
+    built: Dict[str, Any] = {}
+    building = set()
+
+    def resolve(name: str) -> Any:
+        if name in built:
+            return built[name]
+        section = f"{head} {name}"
+        if not parser.has_section(section):
+            raise _undefined(head, name)
+        if name in building:
+            raise ConfigError(f"{head} {name!r} references itself (directly or via a cycle)")
+        building.add(name)
+        view = SectionView(section, parser[section])
+        with view.checked():
+            built[name] = build(view, resolve)
+        building.discard(name)
+        return built[name]
+
+    for section in parser.sections():
+        first, _, name = section.partition(" ")
+        if first == head:
+            resolve(name)
+    return built
+
+
+def _loss(view: SectionView, resolve: Callable[[str], LossSpec]) -> LossSpec:
+    kind = view.str("kind")
+    if kind == "power":
+        return Power(p=view.float("p"), c=view.float("c", 1.0))
+    if kind == "scaled":
+        return Scaled(inner=resolve(view.str("inner")), factor=view.float("factor"))
+    if kind == "sum":
+        return SumLoss([resolve(t) for t in view.names("terms")])
+    return Huber(k=view.float("k"))
+
+
+def _estimator(view: SectionView, resolve: Callable[[str], EstimatorSpec]) -> EstimatorSpec:
+    kind = view.str("kind")
+    if kind == "affine_mean":
+        return AffineMean(gamma=view.float("gamma"), beta=view.float("beta", 0.0))
+    if kind == "sample_median":
+        return SampleMedian(beta=view.float("beta", 0.0))
+    return SignPerturbed(
+        base=resolve(view.str("base")),
+        epsilon=view.float("epsilon"),
+        theta_star=view.float("theta_star"),
+    )
+
+
+def _family(parser: configparser.ConfigParser) -> Optional[FamilySpec]:
+    if not parser.has_section("family"):
         return None
-    view = SectionView("family", cfg["family"])
-    kind = view.kind(_FAMILY_KEYS, "a family")
-    try:
-        if kind == "affine_mean":
-            return AffineMeanFamily(
-                gamma_range=Interval(view.float("gamma_lo"), view.float("gamma_hi")),
-                beta_range=Interval(view.float("beta_lo"), view.float("beta_hi")),
-            )
-        return MedianShiftFamily(
-            beta_range=Interval(view.float("beta_lo"), view.float("beta_hi"))
+    view = _section(parser, "family")
+    with view.checked():
+        beta_range = Interval(view.float("beta_lo"), view.float("beta_hi"))
+        if view.str("kind") == "median_shift":
+            return MedianShiftFamily(beta_range=beta_range)
+        return AffineMeanFamily(
+            gamma_range=Interval(view.float("gamma_lo"), view.float("gamma_hi")),
+            beta_range=beta_range,
         )
-    except ValueError as exc:
-        raise ConfigError(f"[family]: {exc}") from exc
 
 
 def load_config(path) -> RunConfig:
@@ -238,54 +270,28 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     sha256 = hashlib.sha256(text.encode()).hexdigest()
 
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config parse error in {path}: {exc}") from exc
+    _check_sections(parser)
 
-    if not parser.has_section("model"):
-        raise ConfigError("missing [model] section")
-    model_view = SectionView("model", parser["model"])
-    model_view.reject_unknown(("n", "sigma"))
-    try:
-        model = GaussianLocationModel(
-            n=model_view.int("n"), sigma=model_view.float("sigma", 1.0)
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[model]: {exc}") from exc
-
-    if not parser.has_section("theta"):
-        raise ConfigError("missing [theta] section")
-    theta_view = SectionView("theta", parser["theta"])
-    theta_view.reject_unknown(("lo", "hi"))
-    try:
-        theta_interval = Interval(theta_view.float("lo"), theta_view.float("hi"))
-    except ValueError as exc:
-        raise ConfigError(f"[theta]: {exc}") from exc
-
-    losses: Dict[str, LossSpec] = {}
-    estimators: Dict[str, EstimatorSpec] = {}
-    for section in parser.sections():
-        if section.startswith(LOSS_PREFIX):
-            _build_loss(section[len(LOSS_PREFIX):], parser, losses, set())
-        elif section.startswith(ESTIMATOR_PREFIX):
-            _build_estimator(section[len(ESTIMATOR_PREFIX):], parser, estimators, set())
-
-    seed: Optional[int] = None
-    if parser.has_section("run"):
-        run_view = SectionView("run", parser["run"])
-        run_view.reject_unknown(("seed",))
-        if run_view.has("seed"):
-            seed = run_view.int("seed")
+    view = _section(parser, "model")
+    with view.checked():
+        model = GaussianLocationModel(n=view.int("n"), sigma=view.float("sigma", 1.0))
+    view = _section(parser, "theta")
+    with view.checked():
+        theta_interval = Interval(view.float("lo"), view.float("hi"))
+    run = _section(parser, "run", required=False)
 
     return RunConfig(
         model=model,
         theta_interval=theta_interval,
-        losses=losses,
-        estimators=estimators,
-        family=_build_family(parser),
-        seed=seed,
+        losses=_build_named(parser, "loss", _loss),
+        estimators=_build_named(parser, "estimator", _estimator),
+        family=_family(parser),
+        seed=run.int("seed") if run.has("seed") else None,
         sha256=sha256,
         _parser=parser,
     )

@@ -32,12 +32,15 @@ from typing import Literal, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ExponentPreconditionError, InsufficientClassesError
-from .losses import LossSpec, Power, classify_exponent, loss_of_error
+# loss_of_error is not called here; the benchmark's tracer patches the name
+from .losses import LossSpec, Power, classify_exponent, loss_of_error  # noqa: F401
 from .model import (
+    AffineMean,
     EstimatorSpec,
     GaussianLocationModel,
     Interval,
     SignPerturbed,
+    _require_finite,
     check_estimator,
 )
 from .minimax import (
@@ -52,7 +55,7 @@ from .minimax import (
     worst_case_on_profile,
 )
 from .quadrature import gaussian_expectation
-from .risk import MonteCarlo, WorstCaseResult, worst_case_risk
+from .risk import MonteCarlo, Quadrature, WorstCaseResult, risk, worst_case_risk
 
 
 class Verdict(enum.Enum):
@@ -261,22 +264,18 @@ def sign_perturbation_risk(
 
 
 def mean_shift_risk(alpha: float, n: int = 1, q: float = 2.0) -> float:
-    """E|Z/sqrt(n) - alpha|^q for standard normal Z, by split quadrature.
-
-    This is the risk of the mean shifted by alpha under the power-q loss,
-    as a scalar function of the shift.
+    """E|Z/sqrt(n) - alpha|^q for standard normal Z: the quadrature risk of
+    the mean shifted by alpha under the power-q loss at theta = 0, as a
+    scalar function of the shift.  A non-finite alpha is a ValueError, a
+    risk that overflows a NonFiniteRiskError.
     """
     if q <= 1:
         raise ValueError(f"q must be > 1, got {q}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    loss = Power(p=float(q))
-    return gaussian_expectation(
-        lambda t: loss_of_error(loss, t),
-        mu=-float(alpha),
-        s=1.0 / math.sqrt(n),
-        roots=(0.0,),
-    )
+    alpha = _require_finite("alpha", alpha)
+    model = GaussianLocationModel(n)
+    return risk(model, AffineMean(1.0, -alpha), Power(p=float(q)), 0.0, Quadrature()).value
 
 
 def mean_shift_risk_deriv(

@@ -5,11 +5,13 @@ import json
 import math
 import re
 import textwrap
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
 from minmax_lab.cli import _COMMANDS, main
+from minmax_lab.config import RETIRED_KEYS, SECTIONS
 
 BASE = """
     [model]
@@ -648,6 +650,7 @@ OUT_OF_RANGE = [
     ("exclusivity", "exclusivity", "halvings = 0"),
     ("exclusivity", "exclusivity", "halvings = 53"),
     ("exclusivity", "exclusivity", "halvings = 2000"),
+    ("shift-risk", "shift_risk", "n = 0"),
 ]
 
 
@@ -667,13 +670,78 @@ class TestEveryKeyIsChecked:
         assert not out_dir.exists() or not any(out_dir.iterdir())
 
 
+# Misspelled sections, each once ignored by every command that did not
+# require the section.
+MISSPELLED_SECTIONS = ["[classfy]\nlosses = squared", "[rn]\nseed = 1", "[minmax]\nloss = squared"]
+
+# Values that once crashed, ran, or failed without naming their section.
+BAD_VALUES = [
+    ("risk", "[risk]\nestimator = mean\nloss = squared\nthetas = 0\nmethod = monte_carlo\n"
+             "samples = 0", 2, "[risk]: samples must be >= 1"),
+    ("shift-risk", "[shift_risk]\nq = 1\nalphas = 0", 2, "[shift_risk]: q must be > 1"),
+    ("shift-risk", "[shift_risk]\nq = 2%\nalphas = 0", 2, "[shift_risk] q = '2%' is not a number"),
+    ("shift-risk", "[shift_risk]\nq = 2\nalphas = 0, inf", 2, "[shift_risk]: alpha must be finite"),
+    pytest.param("shift-risk", "[shift_risk]\nq = 4\nalphas = 1e100", 3,
+                 "numerical error: risk is not finite",
+                 marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")),
+    ("classify", "[classify]\nlosses = squared\npoints = 4", 2,
+     "[classify]: need at least 8 fit points"),
+]
+
+
+class TestEverySectionIsChecked:
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    @pytest.mark.parametrize("section", MISSPELLED_SECTIONS, ids=lambda s: s.split("\n")[0])
+    def test_unknown_section_exits_2_under_every_command(
+        self, command, section, write_config, out_dir, capsys
+    ):
+        cfg = write_config(ALL_SECTIONS, section)
+        assert main([command, "--config", str(cfg), "--out", str(out_dir)]) == 2
+        assert section.split("\n")[0] in capsys.readouterr().err
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+
+    @pytest.mark.parametrize("command, section, code, message", BAD_VALUES,
+                             ids=lambda v: v.rpartition("\n")[2] if isinstance(v, str) else None)
+    def test_bad_value_names_its_section_and_prints_nothing(
+        self, command, section, code, message, write_config, out_dir, capsys
+    ):
+        cfg = write_config(BASE, section)
+        assert main([command, "--config", str(cfg), "--out", str(out_dir)]) == code
+        out, err = capsys.readouterr()
+        assert message in err and out == ""
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_ini() -> str:
+    (block,) = re.findall(r"```ini\n(.*?)```", README.read_text(), re.S)
+    return block
 
 
 @pytest.mark.parametrize("command", sorted(_COMMANDS))
 def test_readme_config_runs_every_command(command, tmp_path):
     # the documented keys and the accepted keys must not drift apart
-    (block,) = re.findall(r"```ini\n(.*?)```", README.read_text(), re.S)
+    block = readme_ini()
     cfg = tmp_path / "readme.ini"
     cfg.write_text(block)
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_readme_config_names_every_key():
+    # every key a config may set, but the retired ones, is documented in a
+    # section that takes it (a comment naming it counts)
+    text = defaultdict(str)
+    for header, body in re.findall(r"^\[([^]]+)\]\n(.*?)(?=^\[|\Z)", readme_ini(), re.S | re.M):
+        text[header.partition(" ")[0]] += body
+    missing = [
+        f"[{head}] {key}"
+        for head, keys in SECTIONS.items()
+        for key in (
+            ("kind", *(k for kind in keys.values() for k in kind))
+            if isinstance(keys, dict) else keys
+        )
+        if key not in RETIRED_KEYS and not re.search(rf"\b{key}\b", text[head])
+    ]
+    assert missing == []
