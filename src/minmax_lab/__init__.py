@@ -13,7 +13,6 @@ from .errors import (
     DegenerateLossError,
     ExponentPreconditionError,
     InsufficientClassesError,
-    InsufficientLossesError,
     MinmaxLabError,
     NonFiniteRiskError,
     NonPositiveScaleError,
@@ -56,15 +55,12 @@ from .minimax import (
     FamilySpec,
     MedianShiftFamily,
     MinimaxResult,
-    RealizabilityReport,
     SolveOptions,
-    realizability_report,
     solve_minimax,
 )
 from .exclusivity import (
     PartitionReport,
     RefutationCertificate,
-    RefuteOptions,
     Verdict,
     check_exclusivity_partition,
     grad_worst_case,
@@ -82,7 +78,6 @@ __all__ = [
     "DegenerateLossError",
     "ExponentPreconditionError",
     "InsufficientClassesError",
-    "InsufficientLossesError",
     "NonFiniteRiskError",
     "NonPositiveScaleError",
     "OracleEstimatorError",
@@ -121,14 +116,11 @@ __all__ = [
     "FamilySpec",
     "SolveOptions",
     "MinimaxResult",
-    "RealizabilityReport",
     "solve_minimax",
-    "realizability_report",
     # exclusivity
     "Verdict",
     "RefutationCertificate",
     "PartitionReport",
-    "RefuteOptions",
     "grad_worst_case",
     "refute_joint_minimaxity",
     "sign_perturbation_risk",

@@ -24,7 +24,7 @@ import io
 import os
 import sys
 import tempfile
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 from typing import Any, Dict, Optional, Sequence
 
@@ -33,9 +33,6 @@ from .config import RunConfig, SectionView, load_config
 from .errors import (
     ConfigError,
     DegenerateLossError,
-    ExponentPreconditionError,
-    InsufficientClassesError,
-    InsufficientLossesError,
     MinmaxLabError,
     NonFiniteRiskError,
     NonPositiveScaleError,
@@ -43,7 +40,6 @@ from .errors import (
     QuadratureUnsupportedError,
 )
 from .exclusivity import (
-    RefuteOptions,
     check_exclusivity_partition,
     mean_shift_risk,
     mean_shift_risk_deriv,
@@ -60,9 +56,6 @@ from .serialize import (
 
 _CONFIG_ERRORS = (
     ConfigError,
-    InsufficientClassesError,
-    InsufficientLossesError,
-    ExponentPreconditionError,
     OracleEstimatorError,
     NonPositiveScaleError,
     QuadratureUnsupportedError,
@@ -124,16 +117,13 @@ def _require_seed(seed: Optional[int], why: str) -> int:
     return seed
 
 
-def _read_options(view: SectionView, base):
-    """`base` with each integer field that the section sets.  The config
-    table admits only the option fields, so no other field can be set."""
-    with view.checked():
-        return replace(base, **{f.name: view.int(f.name) for f in fields(base)
-                                if view.has(f.name)})
-
-
 def _solve_options(view: SectionView, seed: Optional[int]) -> SolveOptions:
-    return _read_options(view, SolveOptions(seed=0 if seed is None else seed))
+    """SolveOptions with each field that the section sets.  The config table
+    admits only the option fields, so no other field can be set."""
+    with view.checked():
+        return SolveOptions(seed=0 if seed is None else seed,
+                            **{f.name: view.int(f.name) for f in fields(SolveOptions)
+                               if view.has(f.name)})
 
 
 def cmd_risk(cfg: RunConfig, args, out_dir: Path, seed: Optional[int]) -> int:
@@ -198,10 +188,12 @@ def cmd_exclusivity(cfg: RunConfig, args, out_dir: Path, seed: Optional[int]) ->
         raise ConfigError("missing [family] section (exclusivity needs a family)")
     if isinstance(cfg.family, MedianShiftFamily):
         seed = _require_seed(seed, "when the family risk is Monte Carlo (median_shift)")
-    opts = _read_options(view, RefuteOptions(solve=_solve_options(view, seed)))
-    report = check_exclusivity_partition(
-        cfg.model, cfg.family, exponents, cfg.theta_interval, opts
-    )
+    opts = _solve_options(view, seed)
+    # the partition's ValueErrors are about the exponents
+    with view.checked():
+        report = check_exclusivity_partition(
+            cfg.model, cfg.family, exponents, cfg.theta_interval, opts
+        )
     _write_json(out_dir / "exclusivity.json", cfg, seed, "exclusivity",
                 partition_report_to_dict(report))
 
@@ -329,6 +321,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         cfg = load_config(args.config)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -40,7 +40,6 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from .errors import ConfigError
-from .exclusivity import RefuteOptions
 from .losses import Huber, LossSpec, Power, Scaled, SumLoss
 from .minimax import AffineMeanFamily, FamilySpec, MedianShiftFamily, SolveOptions
 from .model import (
@@ -52,11 +51,10 @@ from .model import (
     SignPerturbed,
 )
 
-# Keys of solver options that no longer exist; configs may still set them,
-# and they are ignored.
-RETIRED_KEYS = ("restarts", "grid", "refine_tol", "fatol", "agreement_tol")
+# Keys of solver and certificate options that no longer exist; configs may
+# still set them, and they are ignored.
+RETIRED_KEYS = ("restarts", "grid", "refine_tol", "fatol", "agreement_tol", "halvings")
 _SOLVE_KEYS = tuple(f.name for f in fields(SolveOptions) if f.name != "seed")
-_REFUTE_KEYS = tuple(f.name for f in fields(RefuteOptions) if f.name != "solve")
 
 # Every section and the keys it takes.  [loss NAME] and [estimator NAME]
 # carry a name; they and [family] take `kind` and the keys of that kind.
@@ -74,7 +72,7 @@ SECTIONS: Dict[str, Any] = {
     "risk": ("estimator", "loss", "thetas", "theta_lo", "theta_hi", "theta_count", "method",
              "samples"),
     "minimax": ("loss", *_SOLVE_KEYS, *RETIRED_KEYS),
-    "exclusivity": ("exponents", *_SOLVE_KEYS, *_REFUTE_KEYS, *RETIRED_KEYS),
+    "exclusivity": ("exponents", *_SOLVE_KEYS, *RETIRED_KEYS),
     "shift_risk": ("q", "n", "alphas"),
     "classify": ("losses", "window_lo", "window_hi", "points"),
 }
@@ -284,6 +282,9 @@ def load_config(path) -> RunConfig:
     with view.checked():
         theta_interval = Interval(view.float("lo"), view.float("hi"))
     run = _section(parser, "run", required=False)
+    seed = run.int("seed") if run.has("seed") else None
+    if seed is not None and seed < 0:
+        raise ConfigError(f"[run] seed must be >= 0, got {seed}")
 
     return RunConfig(
         model=model,
@@ -291,7 +292,7 @@ def load_config(path) -> RunConfig:
         losses=_build_named(parser, "loss", _loss),
         estimators=_build_named(parser, "estimator", _estimator),
         family=_family(parser),
-        seed=run.int("seed") if run.has("seed") else None,
+        seed=seed,
         sha256=sha256,
         _parser=parser,
     )

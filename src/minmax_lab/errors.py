@@ -29,16 +29,12 @@ class NonFiniteRiskError(MinmaxLabError):
     """A risk evaluation produced a non-finite value."""
 
 
-class InsufficientLossesError(MinmaxLabError):
-    """A comparison report needs at least two losses."""
-
-
-class InsufficientClassesError(MinmaxLabError):
+class InsufficientClassesError(MinmaxLabError, ValueError):
     """A partition check needs at least two distinct exponent classes."""
 
 
-class ExponentPreconditionError(MinmaxLabError):
-    """The refutation engine requires both local exponents > 1 and clearly
+class ExponentPreconditionError(MinmaxLabError, ValueError):
+    """The refutation engine requires finite local exponents > 1, clearly
     separated."""
 
 

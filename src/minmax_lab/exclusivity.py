@@ -5,28 +5,33 @@ distinct local exponents p < q (both > 1), it solves the family minimax
 problem for the p-loss and walks downhill for the q-loss in the family's
 free coordinate x, along the profile the solver searched.  No kink of the
 worst case lies across it, so `gradient_q`, a difference quotient in x, is
-a true slope, and `direction` is the sign of the step in x:
+a true slope, and `direction` is the sign of the step in x.  The steps
+alpha halve five times from 2|slope| / R_q'' (at most 0.1), where the
+local quadratic of the q-risk stops descending; R_q'' is the second
+difference of the three q-risks the slope took:
 
   * a strictly negative q-risk change at some step alpha, with the p-risk
     degrading only quadratically (fitted slope of |delta R_p| vs alpha near
     2), certifies that the p-optimum is not q-optimal -> Refuted;
-  * a vanishing q-slope, or a descent step that would leave the range at
-    the face the optimum sits on (KKT on an interval), means both
-    objectives are stationary at the same point in this family ->
+  * a q-slope within 1e-2 R_q of zero, or a descent step that would leave
+    the range at the face the optimum sits on (KKT on an interval), means
+    both objectives are stationary at the same point in this family ->
     StationaryBoth (no refutation available here);
   * otherwise the ladder failed to certify anything -> NoDescentInFamily.
 
-Verdicts are family-relative by construction.  The sign-flip perturbation
-(stepping the estimate toward a fixed target) leaves every parametric
-family here, so it is evaluated by Monte Carlo and reported without a
-verdict.
+Every step and test is relative, so no verdict or step moves when theta,
+sigma and the beta box scale together (the conic structure of the
+losses).  Verdicts are family-relative by construction.  The sign-flip
+perturbation (stepping the estimate toward a fixed target) leaves every
+parametric family here, so it is evaluated by Monte Carlo and reported
+without a verdict.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal, Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,10 +51,8 @@ from .model import (
 from .minimax import (
     FamilySpec,
     MinimaxResult,
-    RealizabilityReport,
     SolveOptions,
     family_method,
-    realizability_report,
     solve_minimax,
     worst_case_at,
     worst_case_on_profile,
@@ -87,18 +90,6 @@ class RefutationCertificate:
     taylor_slope_p: Optional[float]
     verdict: Verdict
     ladder: Tuple[LadderPoint, ...]
-
-
-@dataclass(frozen=True)
-class RefuteOptions:
-    solve: SolveOptions = field(default_factory=SolveOptions)
-    halvings: int = 8
-
-    def __post_init__(self):
-        # past 52 halvings the step 0.1 / 2**k no longer moves an x of
-        # order 1 in double precision
-        if not 1 <= self.halvings <= 52:
-            raise ValueError(f"halvings must be in [1, 52], got {self.halvings}")
 
 
 def grad_worst_case(
@@ -139,7 +130,7 @@ def refute_joint_minimaxity(
     loss_p: LossSpec,
     loss_q: LossSpec,
     theta_interval: Interval,
-    opts: Optional[RefuteOptions] = None,
+    opts: Optional[SolveOptions] = None,
     p_solution: Optional[MinimaxResult] = None,
 ) -> RefutationCertificate:
     """Certificate that the loss_p family optimum is (or is not) improvable
@@ -149,10 +140,10 @@ def refute_joint_minimaxity(
     equal-class pairs are rejected up front because positive scaling never
     leaves a class.  `p_solution`, when given, must be the
     result of solve_minimax for loss_p with the same model, family, interval
-    and `opts.solve`; it is used instead of solving that problem again.
+    and `opts`; it is used instead of solving that problem again.
     """
     if opts is None:
-        opts = RefuteOptions()
+        opts = SolveOptions()
 
     cls_p = classify_exponent(loss_p)
     cls_q = classify_exponent(loss_q)
@@ -168,33 +159,39 @@ def refute_joint_minimaxity(
 
     mm = p_solution
     if mm is None:
-        mm = solve_minimax(model, family, loss_p, theta_interval, opts.solve)
+        mm = solve_minimax(model, family, loss_p, theta_interval, opts)
     x = mm.best_params[0]
     box = family.bounds[0]
-    method = family_method(family, opts.solve)
+    method = family_method(family, opts)
 
     def worst(loss: LossSpec, at: float) -> float:
         return worst_case_on_profile(
-            model, family, at, loss, theta_interval, opts.solve, method
+            model, family, at, loss, theta_interval, opts, method
         ).sup_value
 
-    def derivative(loss: LossSpec) -> float:
-        # central in the interior, one-sided at a face of the range
-        lo, hi = max(x - 1e-4, box.lo), min(x + 1e-4, box.hi)
-        return (worst(loss, hi) - worst(loss, lo)) / (hi - lo)
-
+    # difference quotients: central in the interior, one-sided at a face
+    lo, hi = max(x - 1e-4, box.lo), min(x + 1e-4, box.hi)
     rp0 = mm.minimax_value
-    rq0 = worst(loss_q, x)
-    g = derivative(loss_q)
+    rq0, rq_lo, rq_hi = worst(loss_q, x), worst(loss_q, lo), worst(loss_q, hi)
+    g = (rq_hi - rq_lo) / (hi - lo)
     step = -math.copysign(1.0, g)
-    # KKT on an interval: the q-risk is flat, or its descent step would
-    # leave the range through the face x sits on
+    # KKT on an interval: the q-slope is flat relative to the q-risk, or its
+    # descent step would leave the range through the face x sits on
     face = box.hi if step > 0 else box.lo
-    stationary = abs(g) <= 1e-2 * max(1.0, abs(rq0)) or x == face
+    stationary = abs(g) <= 1e-2 * rq0 or x == face
 
+    # The local quadratic in the step, R_q - |g| a + R_q'' a^2 / 2, descends
+    # for a < 2|g| / R_q'', so the ladder starts there (at most at 0.1).  Its
+    # first rung sits on that boundary and the next four descend: the four
+    # the Taylor fit takes.  R_q'' is the second difference of the quotient's
+    # points; at a face (x = lo or hi) there is none, and without a positive
+    # one the ladder starts at 0.1.
+    curv = (2.0 * ((rq_hi - rq0) / (hi - x) - (rq0 - rq_lo) / (x - lo)) / (hi - lo)
+            if lo < x < hi else 0.0)
+    alpha0 = min(0.1, 2.0 * abs(g) / curv) if curv > 0.0 else 0.1
     ladder = []
-    for k in range(0 if stationary else opts.halvings):
-        alpha = 0.1 / 2.0**k
+    for k in range(0 if stationary else 5):
+        alpha = alpha0 / 2.0**k
         x_k = x + alpha * step
         if box.contains(x_k):
             ladder.append(LadderPoint(alpha, worst(loss_p, x_k) - rp0, worst(loss_q, x_k) - rq0))
@@ -221,7 +218,7 @@ def refute_joint_minimaxity(
         q=cls_q.p_hat,
         delta_star_params=tuple(float(v) for v in mm.best_params),
         gradient_q=(g,),
-        gradient_p_norm=abs(derivative(loss_p)),
+        gradient_p_norm=abs(worst(loss_p, hi) - worst(loss_p, lo)) / (hi - lo),
         direction=(0.0 if stationary else step,),
         alpha=head.alpha if head else None,
         delta_Rq=head.delta_Rq if head else None,
@@ -333,13 +330,14 @@ def check_exclusivity_partition(
     family: FamilySpec,
     exponents: Sequence[float],
     theta_interval: Interval,
-    opts: Optional[RefuteOptions] = None,
+    opts: Optional[SolveOptions] = None,
 ) -> PartitionReport:
     """Solve each exponent class and try to refute every cross-class pair.
 
     Each class is solved once: the refutations reuse the per-class results.
     pairwise_disjoint is True exactly when every pair came back Refuted;
     other verdicts are carried in the witnesses rather than raised.
+    param_distances are the Euclidean distances between the class optima.
     """
     exponents = [float(p) for p in exponents]
     if len(exponents) < 2:
@@ -348,34 +346,34 @@ def check_exclusivity_partition(
         )
     if len(set(exponents)) != len(exponents):
         raise InsufficientClassesError(f"exponents must be distinct, got {exponents}")
-    if any(p <= 1.0 for p in exponents):
+    if not all(1.0 < p < math.inf for p in exponents):
         raise ExponentPreconditionError(
-            f"all exponents must exceed 1, got {exponents}"
+            f"all exponents must be finite and exceed 1, got {exponents}"
         )
     if opts is None:
-        opts = RefuteOptions()
+        opts = SolveOptions()
 
     exponents = sorted(exponents)
     losses = [Power(p=p) for p in exponents]
-    report: RealizabilityReport = realizability_report(
-        model, family, losses, theta_interval, opts.solve
-    )
-    classes = tuple(
-        ClassSummary(exponent=p, params=r.best_params, value=r.minimax_value)
-        for p, r in zip(exponents, report.results)
-    )
+    results = [solve_minimax(model, family, loss, theta_interval, opts) for loss in losses]
+    optima = [np.asarray(r.best_params) for r in results]
 
     witnesses = tuple(
         refute_joint_minimaxity(
             model, family, losses[i], losses[j], theta_interval, opts,
-            p_solution=report.results[i],
+            p_solution=results[i],
         )
         for i in range(len(losses))
         for j in range(i + 1, len(losses))
     )
     return PartitionReport(
-        classes=classes,
+        classes=tuple(
+            ClassSummary(exponent=p, params=r.best_params, value=r.minimax_value)
+            for p, r in zip(exponents, results)
+        ),
         pairwise_disjoint=all(w.verdict is Verdict.REFUTED for w in witnesses),
         witnesses=witnesses,
-        param_distances=report.param_distances,
+        param_distances=tuple(
+            tuple(float(np.linalg.norm(a - b)) for b in optima) for a in optima
+        ),
     )

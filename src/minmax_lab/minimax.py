@@ -21,10 +21,8 @@ import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
-import numpy as np
 from scipy.optimize import minimize_scalar as scipy_minimize
 
-from .errors import InsufficientLossesError
 from .losses import LossSpec
 from .model import (
     AffineMean,
@@ -206,41 +204,3 @@ def solve_minimax(
         restart_agreement=abs(x_search - x),
     )
 
-
-@dataclass(frozen=True)
-class RealizabilityReport:
-    """Per-loss minimax solutions plus pairwise optimum distances."""
-
-    losses: Tuple[LossSpec, ...]
-    results: Tuple[MinimaxResult, ...]
-    param_distances: Tuple[Tuple[float, ...], ...]
-
-
-def realizability_report(
-    model: GaussianLocationModel,
-    family: FamilySpec,
-    losses: Sequence[LossSpec],
-    theta_interval: Interval,
-    opts: Optional[SolveOptions] = None,
-) -> RealizabilityReport:
-    """Solve the minimax problem for each loss and compare the optima.
-
-    The distance matrix is Euclidean in family-parameter space; well-
-    separated optima are the realizability evidence that each loss is
-    served by its own estimator.
-    """
-    losses = tuple(losses)
-    if len(losses) < 2:
-        raise InsufficientLossesError(
-            f"need at least two losses to compare optima, got {len(losses)}"
-        )
-    if opts is None:
-        opts = SolveOptions()
-    results = tuple(
-        solve_minimax(model, family, loss, theta_interval, opts) for loss in losses
-    )
-    pts = [np.asarray(r.best_params) for r in results]
-    distances = tuple(
-        tuple(float(np.linalg.norm(a - b)) for b in pts) for a in pts
-    )
-    return RealizabilityReport(losses=losses, results=results, param_distances=distances)

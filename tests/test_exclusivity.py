@@ -5,11 +5,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from minmax_lab.errors import ExponentPreconditionError, InsufficientClassesError
 from minmax_lab.exclusivity import (
-    RefuteOptions,
     Verdict,
     check_exclusivity_partition,
     grad_worst_case,
@@ -30,7 +29,7 @@ THETA3 = Interval(-3, 3)
 THETA_WIDE = Interval(-50, 50)
 FAMILY = AffineMeanFamily(gamma_range=Interval(0, 1.5), beta_range=Interval(-1, 1))
 
-OPTS = RefuteOptions()
+OPTS = SolveOptions()
 
 
 def dR4_dgamma(g, m=3.0):
@@ -83,6 +82,24 @@ class TestRefutation:
         assert abs(np.linalg.norm(cert.direction) - 1.0) < 1e-12
         alphas = [pt.alpha for pt in cert.ladder]
         assert alphas == sorted(alphas, reverse=True)
+
+    def test_refutation_reuses_its_q_risks(self, monkeypatch):
+        # three q-risks give the slope, the curvature and the stationarity
+        # test; then two worst cases per rung of five and two for the p-slope
+        module = importlib.import_module("minmax_lab.exclusivity")
+        p_solution = module.solve_minimax(M1, FAMILY, Power(2, 1), THETA3)
+        inner, calls = module.worst_case_on_profile, []
+
+        def counting(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(module, "worst_case_on_profile", counting)
+        cert = refute_joint_minimaxity(
+            M1, FAMILY, Power(2, 1), Power(4, 1), THETA3, p_solution=p_solution
+        )
+        assert cert.verdict is Verdict.REFUTED and len(cert.ladder) == 5
+        assert len(calls) == 15
 
     def test_same_class_pair_rejected(self):
         with pytest.raises(ExponentPreconditionError):
@@ -172,6 +189,38 @@ class TestProfileCertificate:
         # abs: the round-off floor of a difference quotient, ulp(R) / 1e-4,
         # which dominates at near-flat slopes (StationaryBoth, n = 25)
         assert shifted.gradient_q[0] == pytest.approx(centred.gradient_q[0], rel=1e-9, abs=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        hw=st.floats(min_value=0.5, max_value=5.0),
+        n=st.sampled_from([1, 4, 25]),
+        c=st.floats(min_value=0.05, max_value=20.0),
+    )
+    # a slope small against R_q = 1 (n = 25), and one small against the
+    # curvature (n = 4): both once missed their refutation
+    @example(hw=0.6, n=25, c=5.0)
+    @example(hw=3.148, n=4, c=0.2)
+    def test_certificate_is_scale_free(self, hw, n, c):
+        # gamma is free of units and R_q scales by c**4 when theta, sigma and
+        # the beta box scale by c (the conic structure), so nothing the
+        # certificate decides may move
+        def certificate(scale):
+            model = GaussianLocationModel(n=n, sigma=scale)
+            family = AffineMeanFamily(gamma_range=Interval(0, 1.5),
+                                      beta_range=Interval(-scale, scale))
+            return refute_joint_minimaxity(
+                model, family, Power(2, 1), Power(4, 1), Interval(-hw * scale, hw * scale)
+            )
+
+        base, scaled = certificate(1.0), certificate(c)
+        assert scaled.verdict is base.verdict
+        assert scaled.direction == base.direction
+        assert [pt.alpha for pt in scaled.ladder] == pytest.approx(
+            [pt.alpha for pt in base.ladder], rel=1e-6
+        )
+        if (hw, n) in ((0.6, 25), (3.148, 4)):
+            assert base.verdict is Verdict.REFUTED
+            assert 1.7 <= base.taylor_slope_p <= 2.3
 
 
 class TestSignPerturbation:

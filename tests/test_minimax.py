@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from minmax_lab.errors import InsufficientLossesError
-from minmax_lab.losses import Power, SumLoss, scale_loss
+from minmax_lab.exclusivity import check_exclusivity_partition
+from minmax_lab.losses import Power, SumLoss
 from minmax_lab.minimax import (
     AffineMeanFamily,
     MedianShiftFamily,
     SolveOptions,
-    realizability_report,
     solve_minimax,
     worst_case_at,
 )
@@ -164,7 +163,7 @@ class TestMedianShift:
 
 class TestRealizability:
     def test_distinct_losses_have_distinct_optima(self):
-        report = realizability_report(M1, FAMILY, [Power(2, 1), Power(4, 1)], THETA3)
+        report = check_exclusivity_partition(M1, FAMILY, [2, 4], THETA3)
         d = report.param_distances[0][1]
         # oracle: the two 1-D scan minimizers differ by ~7.4e-3
         oracle_gap = abs(
@@ -173,16 +172,3 @@ class TestRealizability:
         )
         assert d == pytest.approx(oracle_gap, abs=1e-3)
         assert d > 0.005
-
-    def test_scaling_leaves_the_argmin(self):
-        report = realizability_report(
-            M1, FAMILY, [Power(2, 1), scale_loss(Power(2, 1), 7.0)], THETA3
-        )
-        base, scaled = report.results
-        for x, y in zip(base.best_params, scaled.best_params):
-            assert abs(x - y) < 1e-3
-        assert scaled.minimax_value / base.minimax_value == pytest.approx(7.0, abs=1e-3)
-
-    def test_single_loss_rejected(self):
-        with pytest.raises(InsufficientLossesError):
-            realizability_report(M1, FAMILY, [Power(2, 1)], THETA3)
