@@ -7,21 +7,24 @@ on beta only through max |(gamma - 1) * theta + beta| over the two ends of
 the theta interval, which beta*(gamma) = (1 - gamma) * mid, clipped to the
 beta range, minimizes for every loss.  MedianShiftFamily searches its shift.
 
-The search is scipy's bounded Brent method (Brent 1973).  It stops within
-1e-5 of the minimum, so its point is compared with the family's
-breakpoints (range ends and kinks of the profile), and the smallest value
-wins: an optimum on a box face or at a kink comes out exactly.  Results
-are family-relative: a minimizer over the given parameter box, not a claim
-about all measurable decision rules.
+The search is a port of scipy's bounded Brent method (Brent 1973,
+`minimize_scalar(method="bounded")`), bit-identical to it: the same points
+are evaluated in the same order, and it imports nothing beyond `math`, so
+a command starts without loading scipy.  It keeps the name
+`scipy_minimize` only because the benchmark's tracer patches that name.
+It stops within 1e-5 of the minimum, so its point is compared with the
+family's breakpoints (range ends and kinks of the profile), and the
+smallest value wins: an optimum on a box face or at a kink comes out
+exactly.  Results are family-relative: a minimizer over the given
+parameter box, not a claim about all measurable decision rules.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
-
-from scipy.optimize import minimize_scalar as scipy_minimize
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .losses import LossSpec
 from .model import (
@@ -127,6 +130,125 @@ class MinimaxResult:
     restart_agreement: float
 
 
+class BoundedSearch(NamedTuple):
+    """Point and value `scipy_minimize` stopped at, with its counts."""
+
+    x: float
+    fun: float
+    nit: int
+    nfev: int
+    success: bool
+
+
+# scipy_minimize is a port of _minimize_scalar_bounded in scipy 1.17.1
+# (scipy/optimize/_optimize.py), under its licence:
+#
+# Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
+# All rights reserved.
+#
+# Redistribution and use in source and binary forms, with or without
+# modification, are permitted provided that the following conditions
+# are met:
+#
+# 1. Redistributions of source code must retain the above copyright
+#    notice, this list of conditions and the following disclaimer.
+#
+# 2. Redistributions in binary form must reproduce the above
+#    copyright notice, this list of conditions and the following
+#    disclaimer in the documentation and/or other materials provided
+#    with the distribution.
+#
+# 3. Neither the name of the copyright holder nor the names of its
+#    contributors may be used to endorse or promote products derived
+#    from this software without specific prior written permission.
+#
+# THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS
+# "AS IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT
+# LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR
+# A PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT
+# OWNER OR CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL,
+# SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT
+# LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE,
+# DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY
+# THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
+# (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
+# OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
+def scipy_minimize(
+    fun: Callable[[float], float], lo: float, hi: float, maxiter: int
+) -> BoundedSearch:
+    """Minimize fun on [lo, hi] by Brent's bounded method, as scipy does
+    with xatol = 1e-5.
+
+    The caller guarantees finite lo < hi and a finite fun, so scipy's
+    bounds checks and NaN status are left out.  The search stops when the
+    bracket around the best point is within about xatol, or unsuccessfully
+    after maxiter evaluations.
+    """
+    xatol = 1e-5
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    # xf is the best point so far, nfc the second best, fulc the previous nfc
+    xf = nfc = fulc = a + golden_mean * (b - a)
+    fx = fun(xf)
+    fnfc = ffulc = fx
+    num = 1
+    rat = e = 0.0
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    success = True
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        step = max(abs(rat), tol1)
+        x = xf + step if rat >= 0 else xf - step
+        fu = fun(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxiter:
+            success = False
+            break
+    return BoundedSearch(x=xf, fun=fx, nit=num, nfev=num, success=success)
+
+
 def family_method(family: FamilySpec, opts: SolveOptions) -> RiskMethod:
     """Risk method for a family: exact quadrature when available, else
     seeded Monte Carlo with common random numbers across the whole solve."""
@@ -181,13 +303,8 @@ def solve_minimax(
         worst_case_on_profile, model, family,
         loss=loss, theta_interval=theta_interval, opts=opts, method=method,
     )
-    search = scipy_minimize(
-        lambda x: worst_at(float(x)).sup_value,
-        bounds=(box.lo, box.hi),
-        method="bounded",
-        options={"xatol": 1e-5, "maxiter": opts.maxiter},
-    )
-    x_search = float(search.x)
+    search = scipy_minimize(lambda x: worst_at(x).sup_value, box.lo, box.hi, opts.maxiter)
+    x_search = search.x
     # Near a kink the search stops up to xatol away; the breakpoints hold
     # the kinks exactly.  min keeps the first of equal values, so the
     # search point wins ties.

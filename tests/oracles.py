@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 from scipy import integrate
+from scipy.optimize import minimize_scalar
 from scipy.special import gamma as gamma_fn
 from scipy.special import hyp1f1
 
@@ -115,3 +116,17 @@ def scan_min(f, lo: float, hi: float, coarse: int = 40001, fine: int = 40001):
     ys2 = np.array([f(x) for x in xs2])
     j = int(np.argmin(ys2))
     return float(xs2[j]), float(ys2[j])
+
+
+def scipy_bounded_search(f, lo: float, hi: float, maxiter: int):
+    """scipy's own bounded Brent search of f on [lo, hi] with xatol 1e-5:
+    its result and the list of points it evaluated, in order."""
+    xs = []
+
+    def recorded(x):
+        xs.append(float(x))
+        return f(float(x))
+
+    result = minimize_scalar(recorded, bounds=(lo, hi), method="bounded",
+                             options={"xatol": 1e-5, "maxiter": maxiter})
+    return result, xs

@@ -3,7 +3,10 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import textwrap
 from collections import defaultdict
 from pathlib import Path
@@ -675,7 +678,7 @@ MC_RISK = "[risk]\nestimator = mean\nloss = squared\nthetas = 0\nmethod = monte_
 MEDIAN_SOLVE = "[family]\nkind = median_shift\nbeta_lo = -1\nbeta_hi = 1\n[minimax]\nloss = squared"
 
 # Values that once crashed, ran, or failed without naming their section.
-# A command with a flag runs with that flag; a case with a [run] section
+# A command with a flag runs with that flag; a section a case sets
 # replaces the one of BASE.
 BAD_VALUES = [
     ("risk", "[risk]\nestimator = mean\nloss = squared\nthetas = 0\nmethod = monte_carlo\n"
@@ -696,7 +699,19 @@ BAD_VALUES = [
     ("minimax", "[run]\nseed = -1\n" + MEDIAN_SOLVE, 2, "[run] seed must be >= 0"),
     ("risk --seed -1", MC_RISK, 2, "--seed must be >= 0"),
     ("minimax --seed -1", MEDIAN_SOLVE, 2, "--seed must be >= 0"),
+    # the risk overflows before a non-finite value can reach the search
+    pytest.param("minimax", "[theta]\nlo = -1e100\nhi = 1e100\n[loss quartic]\nkind = power\n"
+                 "p = 4\n" + FAMILY + "[minimax]\nloss = quartic", 3,
+                 "numerical error: risk is not finite",
+                 marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")),
 ]
+
+
+def base_without(section: str) -> str:
+    """BASE less the sections the case sets itself."""
+    heads = set(re.findall(r"^\[[^]]+\]", section, re.M))
+    blocks = textwrap.dedent(BASE).split("\n\n")
+    return "\n\n".join(b for b in blocks if b.strip().partition("\n")[0] not in heads)
 
 
 class TestEverySectionIsChecked:
@@ -715,12 +730,34 @@ class TestEverySectionIsChecked:
     def test_bad_value_names_its_section_and_prints_nothing(
         self, command, section, code, message, write_config, out_dir, capsys
     ):
-        base = BASE.partition("    [run]")[0] if section.startswith("[run]") else BASE
-        cfg = write_config(base, section)
+        cfg = write_config(base_without(section), section)
         assert main([*command.split(), "--config", str(cfg), "--out", str(out_dir)]) == code
         out, err = capsys.readouterr()
         assert message in err and out == ""
         assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_solving_commands_never_import_scipy(tmp_path):
+    # importing scipy.optimize took about 0.55 s of every command's start-up
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(ALL_SECTIONS)
+    script = textwrap.dedent(f"""
+        import sys
+        from minmax_lab.cli import main
+        for command in ("minimax", "exclusivity"):
+            out = {str(tmp_path)!r} + "/" + command
+            assert main([command, "--config", {str(cfg)!r}, "--out", out]) == 0
+        print([m for m in sys.modules if m == "scipy" or m.startswith("scipy.")])
+    """)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"  # the commands print above it
+    assert (tmp_path / "minimax" / "minimax.json").exists()
+    assert (tmp_path / "exclusivity" / "exclusivity.json").exists()
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -12,12 +12,19 @@ from minmax_lab.minimax import (
     AffineMeanFamily,
     MedianShiftFamily,
     SolveOptions,
+    scipy_minimize,
     solve_minimax,
     worst_case_at,
 )
 from minmax_lab.model import GaussianLocationModel, Interval
 
-from oracles import affine_l2_grid_min, affine_l2_worst, affine_l4_worst, scan_min
+from oracles import (
+    affine_l2_grid_min,
+    affine_l2_worst,
+    affine_l4_worst,
+    scan_min,
+    scipy_bounded_search,
+)
 
 M1 = GaussianLocationModel(n=1)
 THETA3 = Interval(-3, 3)
@@ -146,6 +153,59 @@ class TestAffineMinimax:
         gamma_star = min(max(hw2 / (sd**2 + hw2), gamma_box[0]), gamma_box[1])
         if beta_box[0] <= (1 - gamma_star) * theta.midpoint <= beta_box[1]:
             assert result.best_params[0] == pytest.approx(gamma_star, abs=1e-4)
+
+
+def search_objective(kind: str, c: float, k: float):
+    """Kinked, smooth, multimodal, flat and clipped objectives for the search."""
+    if kind == "power":
+        return lambda x: abs(x - c) ** k
+    if kind == "multimodal":
+        return lambda x: math.sin(3 * x) + 0.1 * (x - c) ** 2
+    if kind == "constant":
+        return lambda x: 1.0
+    return lambda x: max(abs(x - c), 0.3)
+
+
+class TestBoundedSearch:
+    """The ported search evaluates exactly the points scipy's does."""
+
+    @given(
+        kind=st.sampled_from(("power", "multimodal", "constant", "clipped")),
+        k=st.sampled_from((0.5, 1.0, 2.0, 3.0)),
+        lo=st.floats(min_value=-5.0, max_value=5.0),
+        log_width=st.floats(min_value=-7.0, max_value=1.3),
+        # c relative to the box: inside it, or past either end
+        at=st.floats(min_value=-0.5, max_value=1.5),
+        maxiter=st.sampled_from((1, 2, 5, 600)),
+    )
+    # a minimum at the box midpoint, which the first golden step misses
+    @example(kind="power", k=1.0, lo=-1.0, log_width=math.log10(2.0), at=0.5, maxiter=600)
+    # a box 1e-7 wide, narrower than the stopping tolerance
+    @example(kind="power", k=2.0, lo=0.3, log_width=-7.0, at=0.2, maxiter=600)
+    # a flat objective: every step is a golden one
+    @example(kind="constant", k=1.0, lo=0.0, log_width=0.0, at=0.0, maxiter=600)
+    # a flat floor wider than the box, past its upper end
+    @example(kind="clipped", k=1.0, lo=0.0, log_width=-1.0, at=1.5, maxiter=600)
+    # the iteration cap stops the search
+    @example(kind="multimodal", k=1.0, lo=-5.0, log_width=1.0, at=0.7, maxiter=1)
+    @example(kind="multimodal", k=1.0, lo=-5.0, log_width=1.0, at=0.7, maxiter=5)
+    @example(kind="power", k=0.5, lo=0.0, log_width=0.0, at=0.3, maxiter=2)
+    @settings(max_examples=300, deadline=None)
+    def test_port_matches_scipy(self, kind, k, lo, log_width, at, maxiter):
+        hi = lo + 10.0**log_width
+        f = search_objective(kind, lo + at * (hi - lo), k)
+        xs = []
+
+        def recorded(x):
+            xs.append(x)
+            return f(x)
+
+        port = scipy_minimize(recorded, lo, hi, maxiter)
+        ref, ref_xs = scipy_bounded_search(f, lo, hi, maxiter)
+        # hex tells -0.0 from 0.0: the points are equal bit for bit
+        assert [x.hex() for x in xs] == [x.hex() for x in ref_xs]
+        assert (port.x.hex(), port.fun, port.nit, port.nfev, port.success) == (
+            float(ref.x).hex(), float(ref.fun), ref.nit, ref.nfev, bool(ref.success))
 
 
 class TestMedianShift:
