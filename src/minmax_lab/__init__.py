@@ -46,7 +46,6 @@ from .risk import (
     RiskEstimate,
     WorstCaseResult,
     crosscheck_risk,
-    golden_section_max,
     risk,
     worst_case_risk,
 )
@@ -67,7 +66,6 @@ from .exclusivity import (
     mean_shift_risk,
     mean_shift_risk_deriv,
     refute_joint_minimaxity,
-    sign_perturbation_risk,
 )
 
 __all__ = [
@@ -109,7 +107,6 @@ __all__ = [
     "risk",
     "crosscheck_risk",
     "worst_case_risk",
-    "golden_section_max",
     # minimax
     "AffineMeanFamily",
     "MedianShiftFamily",
@@ -123,7 +120,6 @@ __all__ = [
     "PartitionReport",
     "grad_worst_case",
     "refute_joint_minimaxity",
-    "sign_perturbation_risk",
     "mean_shift_risk",
     "mean_shift_risk_deriv",
     "check_exclusivity_partition",

@@ -117,9 +117,16 @@ def _require_seed(seed: Optional[int], why: str) -> int:
     return seed
 
 
-def _solve_options(view: SectionView, seed: Optional[int]) -> SolveOptions:
-    """SolveOptions with each field that the section sets.  The config table
-    admits only the option fields, so no other field can be set."""
+def _solve_options(cfg: RunConfig, view: SectionView, seed: Optional[int]) -> SolveOptions:
+    """SolveOptions of a family solve for the `minimax` or `exclusivity`
+    command, named by its section: the config must have a [family], a
+    median_shift family needs a seed, and each option field that the section
+    sets is used.  The config table admits only the option fields, so no
+    other field can be set."""
+    if cfg.family is None:
+        raise ConfigError(f"missing [family] section ({view.name} needs a family)")
+    if isinstance(cfg.family, MedianShiftFamily):
+        _require_seed(seed, "when the family risk is Monte Carlo (median_shift)")
     with view.checked():
         return SolveOptions(seed=0 if seed is None else seed,
                             **{f.name: view.int(f.name) for f in fields(SolveOptions)
@@ -162,11 +169,7 @@ def cmd_risk(cfg: RunConfig, args, out_dir: Path, seed: Optional[int]) -> int:
 def cmd_minimax(cfg: RunConfig, args, out_dir: Path, seed: Optional[int]) -> int:
     view = cfg.section("minimax")
     loss = cfg.loss(view.str("loss"))
-    if cfg.family is None:
-        raise ConfigError("missing [family] section (minimax needs a family)")
-    if isinstance(cfg.family, MedianShiftFamily):
-        seed = _require_seed(seed, "when the family risk is Monte Carlo (median_shift)")
-    opts = _solve_options(view, seed)
+    opts = _solve_options(cfg, view, seed)
     result = solve_minimax(cfg.model, cfg.family, loss, cfg.theta_interval, opts)
     _write_json(out_dir / "minimax.json", cfg, seed, "minimax", minimax_result_to_dict(result))
     print(
@@ -184,11 +187,7 @@ def cmd_minimax(cfg: RunConfig, args, out_dir: Path, seed: Optional[int]) -> int
 def cmd_exclusivity(cfg: RunConfig, args, out_dir: Path, seed: Optional[int]) -> int:
     view = cfg.section("exclusivity")
     exponents = view.floats("exponents")
-    if cfg.family is None:
-        raise ConfigError("missing [family] section (exclusivity needs a family)")
-    if isinstance(cfg.family, MedianShiftFamily):
-        seed = _require_seed(seed, "when the family risk is Monte Carlo (median_shift)")
-    opts = _solve_options(view, seed)
+    opts = _solve_options(cfg, view, seed)
     # the partition's ValueErrors are about the exponents
     with view.checked():
         report = check_exclusivity_partition(

@@ -21,8 +21,9 @@ class DegenerateLossError(MinmaxLabError):
 
 
 class QuadratureUnsupportedError(MinmaxLabError):
-    """Quadrature needs an exact Gaussian error law; this estimator only
-    admits an empirical one."""
+    """Quadrature needs an exact Gaussian error law, and an exact worst case
+    needs a theta-free or Gaussian-affine error; this estimator only admits
+    an empirical one."""
 
 
 class NonFiniteRiskError(MinmaxLabError):

@@ -21,10 +21,10 @@ difference of the three q-risks the slope took:
 
 Every step and test is relative, so no verdict or step moves when theta,
 sigma and the beta box scale together (the conic structure of the
-losses).  Verdicts are family-relative by construction.  The sign-flip
-perturbation (stepping the estimate toward a fixed target) leaves every
-parametric family here, so it is evaluated by Monte Carlo and reported
-without a verdict.
+losses).  Verdicts are family-relative by construction: every worst case
+here is one of a family member, exact by the structure risk.py uses.  A
+rule outside the families, such as the sign-flip perturbation in
+model.py, has pointwise risks only.
 """
 
 from __future__ import annotations
@@ -39,26 +39,18 @@ import numpy as np
 from .errors import ExponentPreconditionError, InsufficientClassesError
 # loss_of_error is not called here; the benchmark's tracer patches the name
 from .losses import LossSpec, Power, classify_exponent, loss_of_error  # noqa: F401
-from .model import (
-    AffineMean,
-    EstimatorSpec,
-    GaussianLocationModel,
-    Interval,
-    SignPerturbed,
-    _require_finite,
-    check_estimator,
-)
+from .model import AffineMean, GaussianLocationModel, Interval, _require_finite
 from .minimax import (
     FamilySpec,
     MinimaxResult,
     SolveOptions,
     family_method,
     solve_minimax,
-    worst_case_at,
     worst_case_on_profile,
 )
 from .quadrature import gaussian_expectation
-from .risk import MonteCarlo, Quadrature, WorstCaseResult, risk, worst_case_risk
+# the benchmark's tracer also patches worst_case_risk under this module
+from .risk import Quadrature, risk, worst_case_risk
 
 
 class Verdict(enum.Enum):
@@ -118,9 +110,9 @@ def grad_worst_case(
                 f"params {tuple(params)} are not interior to the family box "
                 f"at step {h} in coordinate {i}"
             )
-        f_up = worst_case_at(model, family, up, loss, theta_interval, opts, method).sup_value
-        f_dn = worst_case_at(model, family, dn, loss, theta_interval, opts, method).sup_value
-        grad[i] = (f_up - f_dn) / (2.0 * h)
+        f_up = worst_case_risk(model, family.make(up), loss, theta_interval, method=method)
+        f_dn = worst_case_risk(model, family.make(dn), loss, theta_interval, method=method)
+        grad[i] = (f_up.sup_value - f_dn.sup_value) / (2.0 * h)
     return grad
 
 
@@ -165,9 +157,7 @@ def refute_joint_minimaxity(
     method = family_method(family, opts)
 
     def worst(loss: LossSpec, at: float) -> float:
-        return worst_case_on_profile(
-            model, family, at, loss, theta_interval, opts, method
-        ).sup_value
+        return worst_case_on_profile(model, family, at, loss, theta_interval, method).sup_value
 
     # difference quotients: central in the interior, one-sided at a face
     lo, hi = max(x - 1e-4, box.lo), min(x + 1e-4, box.hi)
@@ -229,48 +219,23 @@ def refute_joint_minimaxity(
     )
 
 
-def sign_perturbation_risk(
-    model: GaussianLocationModel,
-    base_est: EstimatorSpec,
-    epsilon: float,
-    theta_star: float,
-    loss: LossSpec,
-    theta_interval: Interval,
-    mc_samples: int,
-    seed: int,
-) -> Tuple[WorstCaseResult, WorstCaseResult]:
-    """Worst-case risks of a base rule and its sign-flip perturbation.
-
-    The perturbed rule steps the base estimate by epsilon toward a fixed
-    target theta_star.  Both rules are evaluated by Monte Carlo on shared
-    draws; no conclusion is drawn, the pair of results is the output.
-    epsilon = 0 degenerates to evaluating the base rule twice.
-    """
-    check_estimator(base_est)
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    method = MonteCarlo(mc_samples, seed)
-    perturbed_est = (
-        base_est
-        if epsilon == 0.0
-        else SignPerturbed(base=base_est, epsilon=float(epsilon), theta_star=float(theta_star))
-    )
-    base = worst_case_risk(model, base_est, loss, theta_interval, grid=64, method=method)
-    perturbed = worst_case_risk(model, perturbed_est, loss, theta_interval, grid=64, method=method)
-    return base, perturbed
+def _check_shift(alpha: float, n: int, q: float) -> float:
+    """The input checks of both shift-risk functions; returns alpha."""
+    if _require_finite("q", q) <= 1:
+        raise ValueError(f"q must be > 1, got {q}")
+    if not (n >= 1 and float(n).is_integer()):
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    return _require_finite("alpha", alpha)
 
 
 def mean_shift_risk(alpha: float, n: int = 1, q: float = 2.0) -> float:
     """E|Z/sqrt(n) - alpha|^q for standard normal Z: the quadrature risk of
     the mean shifted by alpha under the power-q loss at theta = 0, as a
-    scalar function of the shift.  A non-finite alpha is a ValueError, a
-    risk that overflows a NonFiniteRiskError.
+    scalar function of the shift.  A non-finite q or alpha, q <= 1 or an n
+    that is not a positive integer is a ValueError, a risk that overflows
+    a NonFiniteRiskError.
     """
-    if q <= 1:
-        raise ValueError(f"q must be > 1, got {q}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    alpha = _require_finite("alpha", alpha)
+    alpha = _check_shift(alpha, n, q)
     model = GaussianLocationModel(n)
     return risk(model, AffineMean(1.0, -alpha), Power(p=float(q)), 0.0, Quadrature()).value
 
@@ -285,10 +250,10 @@ def mean_shift_risk_deriv(
 
     analytic: -q * E[(Z/sqrt(n) - alpha) * |Z/sqrt(n) - alpha|^(q-2)];
     fd: central difference with step 1e-5.  The two must agree closely
-    for q >= 1.5; the sign of the result is reported as computed.
+    for q >= 1.5; the sign of the result is reported as computed.  Both
+    modes check q, n and alpha as mean_shift_risk does.
     """
-    if q <= 1:
-        raise ValueError(f"q must be > 1, got {q}")
+    alpha = _check_shift(alpha, n, q)
     if mode == "fd":
         up = mean_shift_risk(alpha + 1e-5, n, q)
         dn = mean_shift_risk(alpha - 1e-5, n, q)

@@ -257,28 +257,13 @@ def family_method(family: FamilySpec, opts: SolveOptions) -> RiskMethod:
     return MonteCarlo(opts.mc_samples, derive_seed(opts.seed, 1))
 
 
-def worst_case_at(
-    model: GaussianLocationModel,
-    family: FamilySpec,
-    params: Sequence[float],
-    loss: LossSpec,
-    theta_interval: Interval,
-    opts: SolveOptions,
-    method: Optional[RiskMethod] = None,
-) -> WorstCaseResult:
-    """worst_case_risk of the family member at the given parameters."""
-    if method is None:
-        method = family_method(family, opts)
-    return worst_case_risk(model, family.make(params), loss, theta_interval, method=method)
-
-
 def worst_case_on_profile(
     model: GaussianLocationModel, family: FamilySpec, x: float, loss: LossSpec,
-    theta_interval: Interval, opts: SolveOptions, method: RiskMethod,
+    theta_interval: Interval, method: RiskMethod,
 ) -> WorstCaseResult:
-    """worst_case_at of family.profile(x): the best member for free coordinate x."""
+    """worst_case_risk of family.profile(x): the best member for free coordinate x."""
     params = family.profile(x, theta_interval)
-    return worst_case_at(model, family, params, loss, theta_interval, opts, method)
+    return worst_case_risk(model, family.make(params), loss, theta_interval, method=method)
 
 
 def solve_minimax(
@@ -299,10 +284,12 @@ def solve_minimax(
         opts = SolveOptions()
     method = family_method(family, opts)
     box = family.bounds[0]
-    worst_at = functools.partial(
+    # cached by x: the breakpoint comparison below starts with the search's
+    # own point, which the search has already evaluated
+    worst_at = functools.lru_cache(maxsize=None)(functools.partial(
         worst_case_on_profile, model, family,
-        loss=loss, theta_interval=theta_interval, opts=opts, method=method,
-    )
+        loss=loss, theta_interval=theta_interval, method=method,
+    ))
     search = scipy_minimize(lambda x: worst_at(x).sup_value, box.lo, box.hi, opts.maxiter)
     x_search = search.x
     # Near a kink the search stops up to xatol away; the breakpoints hold

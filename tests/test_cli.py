@@ -11,6 +11,7 @@ import textwrap
 from collections import defaultdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from minmax_lab.cli import _COMMANDS, main
@@ -118,6 +119,31 @@ class TestRiskCommand:
         )
         assert main(["risk", "--config", str(cfg), "--out", str(out_dir)]) == 2
         assert "seed" in capsys.readouterr().err
+
+    def test_sign_perturbed_rule(self, write_config, out_dir, capsys):
+        nudged = """
+            [estimator nudged]
+            kind = sign_perturbed
+            base = mean
+            epsilon = 0.2
+            theta_star = 0.5
+            """
+        risk_section = "[risk]\nestimator = nudged\nloss = squared\nthetas = -1, 0.5, 2\n"
+        cfg = write_config(BASE, nudged, risk_section + "method = monte_carlo\nsamples = 200000")
+        assert main(["risk", "--config", str(cfg), "--out", str(out_dir)]) == 0
+        _, rows = read_csv(out_dir / "risk.csv")
+        # oracle on fresh draws: the mean of n = 4 is theta + Z/2, stepped
+        # by 0.2 toward theta_star
+        z = np.random.default_rng(2024).standard_normal(2_000_000) / 2.0
+        for theta, value, std_error in (map(float, row) for row in rows[1:]):
+            est = theta + z
+            oracle = np.mean((est + 0.2 * np.sign(0.5 - est) - theta) ** 2)
+            assert abs(value - oracle) <= 4.0 * std_error
+        assert len(rows) == 4
+
+        cfg = write_config(BASE, nudged, risk_section + "method = quadrature", name="quad.cfg")
+        assert main(["risk", "--config", str(cfg), "--out", str(out_dir / "quad")]) == 2
+        assert "has no exact Gaussian error law" in capsys.readouterr().err
 
     def test_even_theta_grid_spec(self, write_config, out_dir):
         cfg = write_config(

@@ -15,7 +15,6 @@ from minmax_lab.exclusivity import (
     mean_shift_risk,
     mean_shift_risk_deriv,
     refute_joint_minimaxity,
-    sign_perturbation_risk,
 )
 from minmax_lab.losses import Power, Scaled, scale_loss
 from minmax_lab.minimax import AffineMeanFamily, SolveOptions
@@ -224,23 +223,6 @@ class TestProfileCertificate:
 
 
 class TestSignPerturbation:
-    def test_zero_epsilon_is_identity(self):
-        base, pert = sign_perturbation_risk(
-            M1, AffineMean(1, 0), 0.0, 0.0, Power(2, 1), THETA3, 50_000, seed=2
-        )
-        assert base == pert
-
-    def test_worst_case_matches_independent_mc_oracle(self):
-        _, pert = sign_perturbation_risk(
-            M1, AffineMean(1, 0), 0.1, 0.0, Power(2, 1), THETA3, 10**6, seed=2
-        )
-        # oracle: fresh draws, brute evaluation at the worst theta (+-3);
-        # risk is 1.01 - 0.2 E[Z sgn(3 + Z)] there
-        rng = np.random.default_rng(77)
-        z = rng.standard_normal(10**7)
-        oracle = np.mean((z - 0.1 * np.sign(3.0 + z)) ** 2)
-        assert pert.sup_value == pytest.approx(oracle, abs=0.01)
-
     def test_pointwise_risk_drops_near_target(self):
         # stepping toward theta* = 3 reduces the error at theta = 3
         pert_spec = SignPerturbed(base=AffineMean(1, 0), epsilon=0.1, theta_star=3.0)
@@ -301,6 +283,30 @@ class TestShiftRisk:
             mean_shift_risk(0.5, 1, q=1.0)
         with pytest.raises(ValueError):
             mean_shift_risk_deriv(0.5, 1, q=0.9)
+
+    @pytest.mark.parametrize(
+        "alpha, n, q, message",
+        [
+            (0.5, 0, 2.0, "n must be a positive integer, got 0"),
+            (0.5, -1, 2.0, "n must be a positive integer, got -1"),
+            (0.5, 1.5, 2.0, "n must be a positive integer, got 1.5"),
+            (0.5, math.nan, 2.0, "n must be a positive integer, got nan"),
+            (math.inf, 1, 2.0, "alpha must be finite, got inf"),
+            (math.nan, 1, 2.0, "alpha must be finite, got nan"),
+            (0.5, 1, 0.9, "q must be > 1, got 0.9"),
+            (0.5, 1, math.inf, "q must be finite, got inf"),
+            (0.5, 1, math.nan, "q must be finite, got nan"),
+        ],
+    )
+    def test_both_derivative_modes_check_their_inputs_alike(self, alpha, n, q, message):
+        for call in (
+            lambda: mean_shift_risk(alpha, n, q),
+            lambda: mean_shift_risk_deriv(alpha, n, q, "analytic"),
+            lambda: mean_shift_risk_deriv(alpha, n, q, "fd"),
+        ):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
 
 
 class TestPartition:

@@ -1,5 +1,6 @@
 """Nested min-sup solver over estimator families."""
 
+import importlib
 import math
 
 import numpy as np
@@ -14,9 +15,9 @@ from minmax_lab.minimax import (
     SolveOptions,
     scipy_minimize,
     solve_minimax,
-    worst_case_at,
 )
 from minmax_lab.model import GaussianLocationModel, Interval
+from minmax_lab.risk import worst_case_risk
 
 from oracles import (
     affine_l2_grid_min,
@@ -68,7 +69,7 @@ class TestAffineMinimax:
 
     def test_value_matches_recomputed_worst_case(self):
         result = solve_minimax(M1, FAMILY, Power(2, 1), THETA3, OPTS)
-        recomputed = worst_case_at(M1, FAMILY, result.best_params, Power(2, 1), THETA3, OPTS)
+        recomputed = worst_case_risk(M1, FAMILY.make(result.best_params), Power(2, 1), THETA3)
         assert result.minimax_value == pytest.approx(recomputed.sup_value, rel=1e-6)
 
     def test_certified_upper_bound(self):
@@ -76,7 +77,7 @@ class TestAffineMinimax:
         rng = np.random.default_rng(17)
         for _ in range(20):
             params = (rng.uniform(0, 1.5), rng.uniform(-1, 1))
-            other = worst_case_at(M1, FAMILY, params, Power(2, 1), THETA3, OPTS)
+            other = worst_case_risk(M1, FAMILY.make(params), Power(2, 1), THETA3)
             assert result.minimax_value <= other.sup_value + 1e-9
 
     def test_deterministic_given_options(self):
@@ -89,6 +90,23 @@ class TestAffineMinimax:
         result = solve_minimax(M1, FAMILY, Power(2, 1), THETA3)
         assert len(risk_calls) <= 20
         assert result.best_params == pytest.approx((0.9, 0.0), abs=1e-4)
+
+    @pytest.mark.parametrize(
+        "gamma_hi, loss", [(1.5, Power(2, 1)), (0.85, Power(2, 1)), (1.5, Power(4, 1))]
+    )
+    def test_each_profile_worst_case_is_computed_once(self, monkeypatch, gamma_hi, loss):
+        # the breakpoint comparison reuses the search point's worst case
+        module = importlib.import_module("minmax_lab.minimax")
+        inner, xs = module.worst_case_on_profile, []
+
+        def recording(model, family, x, *args, **kwargs):
+            xs.append(x)
+            return inner(model, family, x, *args, **kwargs)
+
+        monkeypatch.setattr(module, "worst_case_on_profile", recording)
+        family = AffineMeanFamily(gamma_range=Interval(0, gamma_hi), beta_range=Interval(-1, 1))
+        solve_minimax(M1, family, loss, THETA3)
+        assert len(xs) == len(set(xs)) > 3
 
     def test_gamma_face_optimum_is_exact(self):
         family = AffineMeanFamily(gamma_range=Interval(0, 0.85), beta_range=Interval(-1, 1))
@@ -105,7 +123,7 @@ class TestAffineMinimax:
         theta = Interval(-1, 5)
         result = solve_minimax(M1, FAMILY, loss, theta)
         grid_min = min(
-            worst_case_at(M1, FAMILY, (g, b), loss, theta, OPTS).sup_value
+            worst_case_risk(M1, FAMILY.make((g, b)), loss, theta).sup_value
             for g in np.linspace(0, 1.5, 41)
             for b in np.linspace(-1, 1, 41)
         )

@@ -157,7 +157,7 @@ class TestWorstCase:
 
     def test_sup_dominates_grid(self):
         thetas = np.linspace(-3, 3, 64)
-        w = worst_case_risk(M1, AffineMean(0.7, 0.2), Power(2, 1), THETA3, grid=64)
+        w = worst_case_risk(M1, AffineMean(0.7, 0.2), Power(2, 1), THETA3)
         grid_risks = [
             risk(M1, AffineMean(0.7, 0.2), Power(2, 1), t, Quadrature()).value for t in thetas
         ]
@@ -213,15 +213,11 @@ class TestWorstCase:
         w = worst_case_risk(M1, AffineMean(0.75, 0), Power(3, 1), THETA3)
         assert abs(w.argmax_theta) == pytest.approx(3.0, abs=1e-5)
 
-    def test_grid_minimum(self):
-        with pytest.raises(ValueError):
-            worst_case_risk(M1, AffineMean(0.8, 0), Power(2, 1), THETA3, grid=8)
-
     def test_monte_carlo_worst_case_uses_common_draws(self):
         model = GaussianLocationModel(n=11)
         method = MonteCarlo(20_000, seed=4)
-        w1 = worst_case_risk(model, SampleMedian(0.3), Power(2, 1), THETA3, grid=32, method=method)
-        w2 = worst_case_risk(model, SampleMedian(0.3), Power(2, 1), THETA3, grid=32, method=method)
+        w1 = worst_case_risk(model, SampleMedian(0.3), Power(2, 1), THETA3, method=method)
+        w2 = worst_case_risk(model, SampleMedian(0.3), Power(2, 1), THETA3, method=method)
         assert w1 == w2
 
     def test_median_needs_explicit_method(self):
@@ -279,18 +275,22 @@ class TestSupMethod:
         assert w.argmax_theta == 1.0
         assert w.sup_value == risk(model, SampleMedian(0.2), Power(2, 1), -0.7, method).value
 
-    def test_sign_perturbed_scans_grid(self, risk_calls):
-        est = SignPerturbed(base=AffineMean(0.9, 0), epsilon=0.1, theta_star=0.5)
-        w = worst_case_risk(M1, est, Power(2, 1), THETA3, grid=16, method=MonteCarlo(2_000, 1))
-        assert (w.sup_method, w.grid_points, w.constant_in_theta) == ("grid", 16, False)
-        assert len(risk_calls) > 16
-
-    def test_affine_monte_carlo_scans_grid(self, risk_calls):
-        w = worst_case_risk(
-            M1, AffineMean(0.8, 0), Power(0.5, 1), THETA3, grid=16, method=MonteCarlo(2_000, 1)
-        )
-        assert (w.sup_method, w.grid_points) == ("grid", 16)
-        assert len(risk_calls) > 16
+    @pytest.mark.parametrize(
+        "est, method",
+        [
+            (SignPerturbed(base=AffineMean(0.9, 0), epsilon=0.1, theta_star=0.5),
+             MonteCarlo(2_000, 1)),
+            (SignPerturbed(base=AffineMean(0.9, 0), epsilon=0.1, theta_star=0.5), Quadrature()),
+            (SignPerturbed(base=SampleMedian(0.0), epsilon=0.1, theta_star=0.5),
+             MonteCarlo(2_000, 1)),
+            (AffineMean(0.8, 0), MonteCarlo(2_000, 1)),
+        ],
+        ids=["sign_mc", "sign_quadrature", "sign_median_mc", "affine_mc"],
+    )
+    def test_rule_without_exact_sup_raises_before_any_risk(self, risk_calls, est, method):
+        with pytest.raises(QuadratureUnsupportedError, match="has no exact worst case"):
+            worst_case_risk(M1, est, Power(2, 1), THETA3, method=method)
+        assert risk_calls == []
 
 
 def _power_case(p, c):
