@@ -159,10 +159,13 @@ def refute_joint_minimaxity(
     def worst(loss: LossSpec, at: float) -> float:
         return worst_case_on_profile(model, family, at, loss, theta_interval, method).sup_value
 
-    # difference quotients: central in the interior, one-sided at a face
+    # difference quotients: central in the interior, one-sided at a face,
+    # where x is one end of the quotient and its risks are rp0 and rq0
     lo, hi = max(x - 1e-4, box.lo), min(x + 1e-4, box.hi)
     rp0 = mm.minimax_value
-    rq0, rq_lo, rq_hi = worst(loss_q, x), worst(loss_q, lo), worst(loss_q, hi)
+    rq0 = worst(loss_q, x)
+    rq_lo = rq0 if lo == x else worst(loss_q, lo)
+    rq_hi = rq0 if hi == x else worst(loss_q, hi)
     g = (rq_hi - rq_lo) / (hi - lo)
     step = -math.copysign(1.0, g)
     # KKT on an interval: the q-slope is flat relative to the q-risk, or its
@@ -203,12 +206,14 @@ def refute_joint_minimaxity(
         verdict = Verdict.NO_DESCENT_IN_FAMILY
 
     head = max(successes, key=lambda pt: pt.alpha) if successes else None
+    rp_hi = rp0 if hi == x else worst(loss_p, hi)
+    rp_lo = rp0 if lo == x else worst(loss_p, lo)
     return RefutationCertificate(
         p=cls_p.p_hat,
         q=cls_q.p_hat,
         delta_star_params=tuple(float(v) for v in mm.best_params),
         gradient_q=(g,),
-        gradient_p_norm=abs(worst(loss_p, hi) - worst(loss_p, lo)) / (hi - lo),
+        gradient_p_norm=abs(rp_hi - rp_lo) / (hi - lo),
         direction=(0.0 if stationary else step,),
         alpha=head.alpha if head else None,
         delta_Rq=head.delta_Rq if head else None,

@@ -62,7 +62,7 @@ class GaussianLocationModel:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 1:
+        if not (self.n >= 1 and float(self.n).is_integer()):
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "sigma", _require_finite("sigma", self.sigma))
@@ -162,9 +162,23 @@ def _standard_normals(count: int, seed: int) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _standard_median_errors(n: int, count: int, seed: int) -> np.ndarray:
-    """median(Z_1..Z_n) draws, Z_i ~ N(0,1); scale by sigma for the model law."""
+    """median(Z_1..Z_n) draws, Z_i ~ N(0,1); scale by sigma for the model law.
+
+    Each row of draws is partitioned in place at its middle order
+    statistic k = n // 2, which is the median for odd n; for even n the
+    partition is at (k - 1, k) and the median is (a + b) / 2.  These are
+    the bits np.median gives, without its copy of the draws or its NaN
+    scan.
+    """
     rng = np.random.default_rng(seed)
-    med = np.median(rng.standard_normal((count, n)), axis=1)
+    z = rng.standard_normal((count, n))
+    k = n // 2
+    if n % 2:
+        z.partition(k, axis=1)
+        med = z[:, k].copy()
+    else:
+        z.partition((k - 1, k), axis=1)
+        med = (z[:, k - 1] + z[:, k]) / 2.0
     med.setflags(write=False)
     return med
 

@@ -29,6 +29,7 @@ pointwise risk is still available from `risk`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Tuple, Union
@@ -123,20 +124,25 @@ def risk(
     if isinstance(method, Quadrature):
         mu, s = error_law(model, est, theta)
         kinks, roots = loss_breakpoints(loss)
-        # the loss argument is theta - delta = -(error); all losses here are
-        # even in the error, but keep the sign for generality
+        # the loss argument is theta - delta = -(error), but every loss spec
+        # is even bit for bit (|-t| = |t|, (-t)*(-t) = t*t) and its
+        # breakpoints are symmetric, so the error goes in unnegated here and
+        # in the Monte Carlo branch below;
+        # tests/test_losses.py::test_loss_of_error_is_even_bit_for_bit pins it
         value = gaussian_expectation(
-            lambda t: loss_of_error(loss, -t),
-            mu,
-            s,
-            kinks=tuple(-k for k in kinks),
-            roots=tuple(-r for r in roots),
+            functools.partial(loss_of_error, loss), mu, s, kinks=kinks, roots=roots,
         )
         return RiskEstimate(_checked(value, f"theta={theta}"))
     errs = error_draws(model, est, theta, method.samples, method.seed)
-    losses = loss_of_error(loss, -errs)
-    value = _checked(float(np.mean(losses)), f"theta={theta}")
-    sd = float(np.std(losses, ddof=1)) if method.samples > 1 else 0.0
+    losses = loss_of_error(loss, errs)
+    mean = np.mean(losses)
+    value = _checked(float(mean), f"theta={theta}")
+    if method.samples == 1:
+        return RiskEstimate(value)
+    # np.std(ddof=1) from the mean already taken, in numpy's own arithmetic
+    dev = np.subtract(losses, mean, out=losses)
+    dev *= dev
+    sd = math.sqrt(float(np.sum(dev)) / (method.samples - 1))
     return RiskEstimate(value, sd / math.sqrt(method.samples))
 
 

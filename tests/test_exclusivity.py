@@ -100,6 +100,32 @@ class TestRefutation:
         assert cert.verdict is Verdict.REFUTED and len(cert.ladder) == 5
         assert len(calls) == 15
 
+    @pytest.mark.parametrize("gamma_hi, calls", [(0.85, 3), (0.9, 13)])
+    def test_face_point_is_evaluated_once_per_loss(self, monkeypatch, gamma_hi, calls):
+        # at a face x is one end of the one-sided quotient: its q-risk is
+        # rq0 and its p-risk the solve's minimax value, so no (loss, point)
+        # is evaluated twice; the ladder adds two per rung at 0.9
+        module = importlib.import_module("minmax_lab.exclusivity")
+        family = AffineMeanFamily(gamma_range=Interval(0, gamma_hi), beta_range=Interval(-1, 1))
+        p_solution = module.solve_minimax(M1, family, Power(2, 1), THETA3)
+        inner, seen = module.worst_case_on_profile, []
+
+        def counting(model, fam, x, loss, theta_interval, method):
+            seen.append((loss, x))
+            return inner(model, fam, x, loss, theta_interval, method)
+
+        monkeypatch.setattr(module, "worst_case_on_profile", counting)
+        cert = refute_joint_minimaxity(
+            M1, family, Power(2, 1), Power(4, 1), THETA3, p_solution=p_solution
+        )
+        assert cert.delta_star_params[0] == gamma_hi
+        assert len(seen) == calls and len(set(seen)) == calls
+        # the reused p-risk is the worst case at the face, bit for bit
+        method = module.family_method(family, OPTS)
+        p_risk = [inner(M1, family, x, Power(2, 1), THETA3, method).sup_value
+                  for x in (gamma_hi - 1e-4, gamma_hi)]
+        assert cert.gradient_p_norm == abs(p_risk[1] - p_risk[0]) / (gamma_hi - (gamma_hi - 1e-4))
+
     def test_same_class_pair_rejected(self):
         with pytest.raises(ExponentPreconditionError):
             refute_joint_minimaxity(

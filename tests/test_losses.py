@@ -1,5 +1,8 @@
 """Loss evaluation, the scaling cone, and the exponent classifier."""
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +13,7 @@ from minmax_lab.losses import (
     Scaled,
     SumLoss,
     classify_exponent,
+    loss_breakpoints,
     loss_of_error,
     scale_loss,
 )
@@ -55,6 +59,38 @@ class TestEval:
     @settings(max_examples=300, deadline=None)
     def test_symmetric_in_error(self, loss, theta, a):
         assert loss_of_error(loss, theta - a) == loss_of_error(loss, a - theta)
+
+
+leaf_losses = st.one_of(
+    st.builds(Power, st.floats(min_value=0.1, max_value=8.0), st.floats(min_value=1e-3, max_value=1e3)),
+    st.builds(Huber, st.floats(min_value=1e-3, max_value=1e3)),
+)
+nested_losses = st.recursive(
+    leaf_losses,
+    lambda inner: st.one_of(
+        st.builds(Scaled, st.floats(min_value=1e-3, max_value=1e3), inner),
+        st.builds(SumLoss, st.lists(inner, min_size=1, max_size=3)),
+    ),
+    max_leaves=6,
+)
+errors = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-160, 1e155, 1e300, -1e300, math.inf]),
+    st.floats(allow_nan=False),
+)
+
+
+@given(loss=nested_losses, t=st.lists(errors, min_size=1, max_size=16))
+@settings(max_examples=300, deadline=None)
+def test_loss_of_error_is_even_bit_for_bit(loss, t):
+    # risk.risk integrates the loss at the error, not at its negation
+    # theta - delta: every spec is even in every bit, -0.0 and overflow
+    # included, and its breakpoints are a symmetric set
+    t = np.array(t)
+    with np.errstate(over="ignore"):
+        assert loss_of_error(loss, -t).tobytes() == loss_of_error(loss, t).tobytes()
+    kinks, roots = loss_breakpoints(loss)
+    assert sorted(-k for k in kinks) == sorted(kinks)
+    assert sorted(-r for r in roots) == sorted(roots)
 
 
 class TestScaling:

@@ -12,6 +12,7 @@ from minmax_lab.model import (
     Interval,
     SampleMedian,
     SignPerturbed,
+    _standard_median_errors,
     derive_seed,
     error_draws,
     error_law,
@@ -28,12 +29,11 @@ class TestValidation:
             Interval(0, math.inf)
 
     def test_model_requires_positive_n_and_sigma(self):
-        with pytest.raises(ValueError):
-            GaussianLocationModel(n=0)
+        for n in (0, -1, 2.5, math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="n must be a positive integer, got"):
+                GaussianLocationModel(n=n)
         with pytest.raises(ValueError):
             GaussianLocationModel(n=3, sigma=0.0)
-        with pytest.raises(ValueError):
-            GaussianLocationModel(n=2.5)
 
     def test_sign_perturbed_depth_one(self):
         inner = SignPerturbed(base=AffineMean(1, 0), epsilon=0.1, theta_star=0.0)
@@ -103,6 +103,16 @@ class TestSimulation:
         draws = 0.0 + error_draws(model, SampleMedian(0.0), 0.0, 10**5, seed=1)
         target = math.pi / (2 * 101)
         assert abs(draws.var(ddof=1) - target) / target < 0.10
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 25, 101])
+    @pytest.mark.parametrize("count", [1, 2, 1000])
+    def test_median_draws_are_np_median_bit_for_bit(self, n, count):
+        seed = 17 * n + count
+        got = _standard_median_errors(n, count, seed)
+        rows = np.random.default_rng(seed).standard_normal((count, n))
+        want = np.median(rows, axis=1)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert got.flags.c_contiguous and not got.flags.writeable
 
     def test_sign_perturbed_moves_toward_target(self):
         model = GaussianLocationModel(n=1)

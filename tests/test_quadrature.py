@@ -2,6 +2,7 @@
 loop it replaced, compared bit for bit."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from minmax_lab.quadrature import Z_MAX, gaussian_expectation
@@ -96,6 +97,28 @@ class TestOnePassKernel:
         kinks, roots = (0.0, 1.0, 16.3), (0.0, -19.7)
         got = gaussian_expectation(f, 0.3, 1.0, 200, kinks=kinks, roots=roots)
         assert got == reference_expectation(f, 0.3, 1.0, 200, kinks=kinks, roots=roots)
+
+    @pytest.mark.parametrize("kind, mu, kinks, roots, rows", [
+        # every row next to a root: a power loss, one root or two
+        ("power", 0.3, (), (0.0,), 2),
+        ("power", 0.3, (), (-1.0, 1.0), 3),
+        # no root in the window: plain rows only
+        ("huber", 0.3, (-1.0, 1.0), (), 3),
+        ("power", 0.3, (), (17.0,), 1),
+        # Huber: plain rows outside the elbows, root rows inside
+        ("huber", 0.3, (-1.0, 1.0), (0.0,), 4),
+        ("huber", -0.6, (-0.5, 0.5), (0.0,), 4),
+    ])
+    def test_each_branch_matches_the_segment_loop(self, kind, mu, kinks, roots, rows):
+        f, lengths = _integrand(kind, 1.5, 1.0), []
+
+        def counted(t):
+            lengths.append(t.shape)
+            return f(t)
+
+        got = gaussian_expectation(counted, mu, 1.0, 64, kinks=kinks, roots=roots)
+        assert lengths == [(rows * 64,)]
+        assert got.hex() == reference_expectation(f, mu, 1.0, 64, kinks, roots).hex()
 
     def test_f_called_once_on_all_nodes(self):
         lengths = []

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from minmax_lab.errors import NonFiniteRiskError, QuadratureUnsupportedError
 from minmax_lab.losses import (
@@ -22,8 +22,10 @@ from minmax_lab.model import (
     Interval,
     SampleMedian,
     SignPerturbed,
+    error_draws,
+    error_law,
 )
-from minmax_lab.quadrature import node_doubling_gap
+from minmax_lab.quadrature import gaussian_expectation, node_doubling_gap
 from minmax_lab.risk import (
     MonteCarlo,
     Quadrature,
@@ -353,3 +355,50 @@ class TestGoldenSection:
     def test_monotone_converges_to_endpoint(self):
         x, _ = golden_section_max(lambda x: x, 0.0, 1.0, tol=1e-8)
         assert x == pytest.approx(1.0, abs=1e-6)
+
+
+def _negated_error_risk(model, est, loss, theta):
+    """The quadrature risk as the loss of -(error), kinks and roots negated:
+    the literal theta - delta that risk() no longer forms."""
+    mu, s = error_law(model, est, theta)
+    kinks, roots = loss_breakpoints(loss)
+    return gaussian_expectation(
+        lambda t: loss_of_error(loss, -t), mu, s,
+        kinks=tuple(-k for k in kinks), roots=tuple(-r for r in roots),
+    )
+
+
+class TestUnnegatedError:
+    """risk() integrates the loss at the error itself; evenness makes that
+    the old integral in every bit."""
+
+    @given(
+        gamma=st.floats(min_value=-1.5, max_value=1.5),
+        beta=st.floats(min_value=-2.0, max_value=2.0),
+        theta=st.floats(min_value=-4.0, max_value=4.0),
+        n=st.sampled_from([1, 4, 25]),
+        case=loss_cases,
+    )
+    @example(gamma=1.0, beta=0.0, theta=0.0, n=1, case=_huber_case(1.0))  # mu = 0: a +-0.0 root
+    @example(gamma=0.5, beta=-1.0, theta=-2.0, n=1, case=_power_case(1.5, 1.0))  # mu = 0 again
+    @settings(max_examples=150, deadline=None)
+    def test_quadrature_risk_is_the_negated_integral(self, gamma, beta, theta, n, case):
+        loss, _ = case
+        model, est = GaussianLocationModel(n=n), AffineMean(gamma, beta)
+        got = risk(model, est, loss, theta, Quadrature()).value
+        assert got.hex() == _negated_error_risk(model, est, loss, theta).hex()
+
+    @pytest.mark.parametrize("est", [
+        AffineMean(0.8, 0.3),
+        SampleMedian(-0.2),
+        SignPerturbed(base=AffineMean(1, 0), epsilon=0.3, theta_star=0.5),
+    ])
+    @pytest.mark.parametrize("loss", [Power(1.5, 2), Huber(0.7), SumLoss((Power(3, 1), Huber(1)))])
+    @pytest.mark.parametrize("samples", [1, 2, 3, 1000])
+    def test_monte_carlo_is_np_mean_and_std(self, est, loss, samples):
+        model = GaussianLocationModel(n=5)
+        got = risk(model, est, loss, 0.4, MonteCarlo(samples, seed=11))
+        losses = loss_of_error(loss, -error_draws(model, est, 0.4, samples, 11))
+        sd = float(np.std(losses, ddof=1)) if samples > 1 else 0.0
+        assert got.value.hex() == float(np.mean(losses)).hex()
+        assert got.std_error.hex() == (sd / math.sqrt(samples)).hex()
