@@ -62,7 +62,11 @@ class GaussianLocationModel:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not (self.n >= 1 and float(self.n).is_integer()):
+        try:
+            ok = 1 <= self.n < math.inf and int(self.n) == self.n
+        except TypeError:
+            ok = False
+        if not ok:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "sigma", _require_finite("sigma", self.sigma))

@@ -10,13 +10,9 @@ u^(2p+1) and restores fast Gauss-Legendre convergence for fractional p.
 All segments are evaluated in one pass: their nodes form the rows of one
 array, f and the normal density are each called once on it, and the
 per-segment weighted sums are added in segment order, which gives the same
-bits as integrating the segments one at a time.  The pass does only the
-work its segments need: the Legendre rule is cached together with x + 1,
-the u = scale * (x + 1) of the square substitution; only root segments
-form u^2 and the Jacobian 2u, so a table of root segments only (every
-power loss) selects nothing and a table of plain segments only skips the
-Jacobian, whose factor 1 is exact there; the density and the products
-are formed in place, in the same operation order.
+bits as integrating the segments one at a time.  The Legendre rule is
+cached together with x + 1, and a table whose rows all end at a root
+(every power loss) needs no row selection.
 
 Integration is truncated at |z| = 15 where the standard normal density is
 ~5e-50: invisible next to any polynomially growing loss at double
@@ -100,23 +96,18 @@ def gaussian_expectation(
 
     x, w, x1 = _leggauss(nodes)
     table = np.array(rows)  # columns c0, c1, scale, at_root (1.0 or 0.0)
-    n_root = sum(row[3] for row in rows)
-    if n_root == 0:
-        z = x * table[:, 1, None]
+    u = table[:, 2, None] * x1
+    if all(row[3] for row in rows):
+        z = u * u
+        u *= 2.0
+        jacobian = u
     else:
-        if n_root == len(rows):
-            u = table[:, 2, None] * x1
-            z = u * u
-        else:
-            at_root = table[:, 3] == 1.0
-            u = table[at_root, 2, None] * x1
-            z = np.empty((len(rows), x.size))
-            z[~at_root] = x
-            z[at_root] = u * u
-        z *= table[:, 1, None]
+        at_root = table[:, 3, None] == 1.0
+        z = np.where(at_root, u * u, x)
+        jacobian = np.where(at_root, 2.0 * u, 1.0)
+    z *= table[:, 1, None]
     z += table[:, 0, None]
-    # phi(z) = exp(-0.5 * z * z) / sqrt(2 pi), then f(mu + s * z) * phi(z)
-    # times the Jacobian 2u on root rows, each product formed in place
+    # f(mu + s * z) * phi(z) * jacobian, phi(z) = exp(-0.5 * z * z) / sqrt(2 pi)
     vals = np.multiply(z, -0.5)
     vals *= z
     np.exp(vals, out=vals)
@@ -124,12 +115,7 @@ def gaussian_expectation(
     z *= s
     z += mu
     vals *= np.reshape(f(z.ravel()), z.shape)
-    if n_root:
-        u *= 2.0
-        if n_root == len(rows):
-            vals *= u
-        else:
-            vals[at_root] *= u
+    vals *= jacobian
     # per-row dot products summed in segment order: a matrix-vector product
     # would round differently in the last bit
     total = 0.0

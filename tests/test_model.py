@@ -29,9 +29,11 @@ class TestValidation:
             Interval(0, math.inf)
 
     def test_model_requires_positive_n_and_sigma(self):
-        for n in (0, -1, 2.5, math.inf, -math.inf, math.nan):
+        for n in (0, -1, 2.5, math.inf, -math.inf, math.nan, "3", None):
             with pytest.raises(ValueError, match="n must be a positive integer, got"):
                 GaussianLocationModel(n=n)
+        assert GaussianLocationModel(n=10**400).n == 10**400
+        assert GaussianLocationModel(n=4.0).n == 4
         with pytest.raises(ValueError):
             GaussianLocationModel(n=3, sigma=0.0)
 
