@@ -48,11 +48,7 @@ from .losses import DEFAULT_POINTS, DEFAULT_WINDOW, classify_exponent
 from .minimax import MedianShiftFamily, SolveOptions, solve_minimax
 from .model import _require_finite
 from .risk import MonteCarlo, Quadrature, risk
-from .serialize import (
-    minimax_result_to_dict,
-    partition_report_to_dict,
-    to_json,
-)
+from .serialize import to_document, to_json
 
 _CONFIG_ERRORS = (
     ConfigError,
@@ -171,7 +167,7 @@ def cmd_minimax(cfg: RunConfig, args, out_dir: Path, seed: Optional[int]) -> int
     loss = cfg.loss(view.str("loss"))
     opts = _solve_options(cfg, view, seed)
     result = solve_minimax(cfg.model, cfg.family, loss, cfg.theta_interval, opts)
-    _write_json(out_dir / "minimax.json", cfg, seed, "minimax", minimax_result_to_dict(result))
+    _write_json(out_dir / "minimax.json", cfg, seed, "minimax", to_document(result))
     print(
         f"minimax value {result.minimax_value:.6g} at params "
         f"{tuple(round(v, 6) for v in result.best_params)} "
@@ -193,8 +189,7 @@ def cmd_exclusivity(cfg: RunConfig, args, out_dir: Path, seed: Optional[int]) ->
         report = check_exclusivity_partition(
             cfg.model, cfg.family, exponents, cfg.theta_interval, opts
         )
-    _write_json(out_dir / "exclusivity.json", cfg, seed, "exclusivity",
-                partition_report_to_dict(report))
+    _write_json(out_dir / "exclusivity.json", cfg, seed, "exclusivity", to_document(report))
 
     ladder_rows = []
     for cert in report.witnesses:

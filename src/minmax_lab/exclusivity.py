@@ -32,7 +32,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Literal, Optional, Sequence, Tuple
+from typing import ClassVar, Literal, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,6 +70,8 @@ class LadderPoint:
 
 @dataclass(frozen=True)
 class RefutationCertificate:
+    SCHEMA: ClassVar[str] = "minmax-lab/refutation-certificate/v2"
+
     p: float
     q: float
     delta_star_params: Tuple[float, ...]
@@ -288,6 +290,8 @@ class ClassSummary:
 @dataclass(frozen=True)
 class PartitionReport:
     """Joint outcome of per-class minimax solves and all pairwise refutations."""
+
+    SCHEMA: ClassVar[str] = "minmax-lab/partition-report/v1"
 
     classes: Tuple[ClassSummary, ...]
     pairwise_disjoint: bool

@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, ClassVar, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .losses import LossSpec
 from .model import (
@@ -122,9 +122,11 @@ class SolveOptions:
 
 @dataclass(frozen=True)
 class MinimaxResult:
+    SCHEMA: ClassVar[str] = "minmax-lab/minimax-result/v4"
+
     best_params: Tuple[float, ...]
     minimax_value: float
-    inner_results: WorstCaseResult
+    worst_case: WorstCaseResult
     outer_iterations: int
     converged: bool
     restart_agreement: float
@@ -302,7 +304,7 @@ def solve_minimax(
     return MinimaxResult(
         best_params=tuple(float(v) for v in family.profile(x, theta_interval)),
         minimax_value=inner.sup_value,
-        inner_results=inner,
+        worst_case=inner,
         outer_iterations=int(search.nit),
         converged=bool(search.success),
         restart_agreement=abs(x_search - x),

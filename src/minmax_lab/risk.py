@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Tuple, Union
 
 import numpy as np
@@ -91,14 +91,13 @@ class WorstCaseResult:
     sup_value: float
     argmax_theta: float
     sup_method: str
+    grid_points: int = field(init=False)
+    constant_in_theta: bool = field(init=False)
 
-    @property
-    def constant_in_theta(self) -> bool:
-        return self.sup_method == "constant"
-
-    @property
-    def grid_points(self) -> int:
-        return 1 if self.constant_in_theta else 2
+    def __post_init__(self):
+        constant = self.sup_method == "constant"
+        object.__setattr__(self, "grid_points", 1 if constant else 2)
+        object.__setattr__(self, "constant_in_theta", constant)
 
 
 def _checked(value: float, context: str) -> float:
