@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -250,14 +251,20 @@ def _family(parser: configparser.ConfigParser) -> Optional[FamilySpec]:
     if not parser.has_section("family"):
         return None
     view = _section(parser, "family")
+
+    def box(name: str) -> Interval:
+        # the scalar search steps through a range by fractions of its width
+        lo, hi = view.float(f"{name}_lo"), view.float(f"{name}_hi")
+        interval = Interval(lo, hi)
+        if math.isinf(hi - lo):
+            raise ValueError(f"{name} range [{lo}, {hi}] is too wide: hi - lo overflows")
+        return interval
+
     with view.checked():
-        beta_range = Interval(view.float("beta_lo"), view.float("beta_hi"))
+        beta_range = box("beta")
         if view.str("kind") == "median_shift":
             return MedianShiftFamily(beta_range=beta_range)
-        return AffineMeanFamily(
-            gamma_range=Interval(view.float("gamma_lo"), view.float("gamma_hi")),
-            beta_range=beta_range,
-        )
+        return AffineMeanFamily(gamma_range=box("gamma"), beta_range=beta_range)
 
 
 def load_config(path) -> RunConfig:

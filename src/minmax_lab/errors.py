@@ -27,7 +27,8 @@ class QuadratureUnsupportedError(MinmaxLabError):
 
 
 class NonFiniteRiskError(MinmaxLabError):
-    """A risk evaluation produced a non-finite value."""
+    """A risk evaluation, or a result value derived from risks (such as a
+    difference quotient of two of them), is not finite."""
 
 
 class InsufficientClassesError(MinmaxLabError, ValueError):

@@ -122,14 +122,14 @@ class SolveOptions:
 
 @dataclass(frozen=True)
 class MinimaxResult:
-    SCHEMA: ClassVar[str] = "minmax-lab/minimax-result/v4"
+    SCHEMA: ClassVar[str] = "minmax-lab/minimax-result/v5"
 
     best_params: Tuple[float, ...]
     minimax_value: float
     worst_case: WorstCaseResult
-    outer_iterations: int
+    search_iterations: int
     converged: bool
-    restart_agreement: float
+    breakpoint_gap: float
 
 
 class BoundedSearch(NamedTuple):
@@ -277,9 +277,9 @@ def solve_minimax(
 ) -> MinimaxResult:
     """Minimize sup_theta risk over the family's free coordinate.
 
-    `outer_iterations` is the search's iteration count and `converged` its
+    `search_iterations` is the search's iteration count and `converged` its
     success flag; a False flag still returns the best point found.
-    `restart_agreement` is the distance from the search point to the
+    `breakpoint_gap` is the distance from the search point to the
     returned one, nonzero only when a breakpoint won.
     """
     if opts is None:
@@ -305,8 +305,8 @@ def solve_minimax(
         best_params=tuple(float(v) for v in family.profile(x, theta_interval)),
         minimax_value=inner.sup_value,
         worst_case=inner,
-        outer_iterations=int(search.nit),
+        search_iterations=int(search.nit),
         converged=bool(search.success),
-        restart_agreement=abs(x_search - x),
+        breakpoint_gap=abs(x_search - x),
     )
 

@@ -45,7 +45,9 @@ class Interval:
 
     @property
     def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
+        mid = 0.5 * (self.lo + self.hi)
+        # lo + hi can overflow where the midpoint itself does not
+        return mid if math.isfinite(mid) else 0.5 * self.lo + 0.5 * self.hi
 
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi

@@ -123,16 +123,3 @@ def gaussian_expectation(
         total += row[2] * float(np.dot(w, vals_i))
     return total
 
-
-def node_doubling_gap(
-    f: Callable[[np.ndarray], np.ndarray],
-    mu: float,
-    s: float,
-    nodes: int = DEFAULT_NODES,
-    kinks: Sequence[float] = (),
-    roots: Sequence[float] = (),
-) -> float:
-    """|value(nodes) - value(2*nodes)|: the documented convergence check."""
-    v1 = gaussian_expectation(f, mu, s, nodes, kinks, roots)
-    v2 = gaussian_expectation(f, mu, s, 2 * nodes, kinks, roots)
-    return abs(v1 - v2)

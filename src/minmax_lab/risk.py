@@ -83,21 +83,16 @@ class RiskEstimate:
 class WorstCaseResult:
     """sup of the risk over a theta interval and where it was attained.
 
-    `sup_method` is "constant" or "endpoints" (see the module docstring);
-    `grid_points` is the number of theta values that method considered: 1,
-    or the two endpoint candidates compared.
+    `sup_method` is "constant" or "endpoints" (see the module docstring).
     """
 
     sup_value: float
     argmax_theta: float
     sup_method: str
-    grid_points: int = field(init=False)
     constant_in_theta: bool = field(init=False)
 
     def __post_init__(self):
-        constant = self.sup_method == "constant"
-        object.__setattr__(self, "grid_points", 1 if constant else 2)
-        object.__setattr__(self, "constant_in_theta", constant)
+        object.__setattr__(self, "constant_in_theta", self.sup_method == "constant")
 
 
 def _checked(value: float, context: str) -> float:

@@ -3,9 +3,9 @@
 Each result record defines its own JSON: `to_document` writes a
 dataclass's fields in declaration order, led by `"schema"` when the class
 declares a `SCHEMA` tag.  A field name is a key of the output, so renaming,
-adding, removing or reordering a field of a tagged record means bumping
-its tag.  A non-finite float anywhere in a record is a NonFiniteRiskError
-that names its field.
+adding, removing or reordering a field of a record, or of a record nested
+in it, means bumping the tag.  A non-finite float anywhere in a record is
+a NonFiniteRiskError that names its field.
 """
 
 from __future__ import annotations

@@ -255,6 +255,22 @@ MM_BASE = """
 """
 
 
+# a median_shift family; the config adds [theta] and the command's section
+MEDIAN_MODEL = """
+    [model]
+    n = 5
+
+    [loss squared]
+    kind = power
+    p = 2
+
+    [family]
+    kind = median_shift
+    beta_lo = -1
+    beta_hi = 1
+"""
+
+
 class TestMinimaxCommand:
     def test_bounded_l2(self, write_config, out_dir):
         cfg = write_config(
@@ -273,9 +289,9 @@ class TestMinimaxCommand:
         assert result["minimax_value"] == pytest.approx(0.9, abs=0.005)
         assert result["converged"] is True
         assert doc["schema"] == "minmax-lab/cli-output/v1"
-        assert result["schema"] == "minmax-lab/minimax-result/v4"
+        assert result["schema"] == "minmax-lab/minimax-result/v5"
         worst = result["worst_case"]
-        assert (worst["sup_method"], worst["grid_points"]) == ("endpoints", 2)
+        assert worst["sup_method"] == "endpoints"
         assert abs(worst["argmax_theta"]) == 3.0
         assert "refinement_tol" not in worst
 
@@ -339,8 +355,26 @@ class TestMinimaxCommand:
         assert main(["minimax", "--config", str(cfg), "--out", str(out_dir)]) == 0
         worst = json.loads((out_dir / "minimax.json").read_text())["result"]["worst_case"]
         assert worst["constant_in_theta"] is True
-        assert (worst["sup_method"], worst["grid_points"]) == ("constant", 1)
+        assert worst["sup_method"] == "constant"
         assert worst["argmax_theta"] == 0.5
+
+    def test_median_on_theta_range_whose_sum_overflows(self, write_config, out_dir):
+        # lo + hi overflows, the midpoint does not, and the median's risk is theta-free
+        cfg = write_config(
+            MEDIAN_MODEL,
+            """
+            [theta]
+            lo = 1e308
+            hi = 1.7e308
+
+            [minimax]
+            loss = squared
+            mc_samples = 2000
+            """
+        )
+        assert main(["minimax", "--config", str(cfg), "--out", str(out_dir), "--seed", "1"]) == 0
+        worst = json.loads((out_dir / "minimax.json").read_text())["result"]["worst_case"]
+        assert (worst["sup_method"], worst["argmax_theta"]) == ("constant", 1.35e308)
 
     def test_empty_family_range(self, write_config, out_dir):
         cfg = write_config(
@@ -725,6 +759,19 @@ BAD_VALUES = [
     ("minimax", "[run]\nseed = -1\n" + MEDIAN_SOLVE, 2, "[run] seed must be >= 0"),
     ("risk --seed -1", MC_RISK, 2, "--seed must be >= 0"),
     ("minimax --seed -1", MEDIAN_SOLVE, 2, "--seed must be >= 0"),
+    # a family range whose width overflows, which the search steps through
+    ("minimax", "[family]\nkind = affine_mean\ngamma_lo = -1e308\ngamma_hi = 1e308\n"
+                "beta_lo = -1\nbeta_hi = 1\n[minimax]\nloss = squared",
+     2, "[family]: gamma range [-1e+308, 1e+308] is too wide"),
+    ("minimax", "[family]\nkind = median_shift\nbeta_lo = -1e308\nbeta_hi = 1e308\n"
+                "[minimax]\nloss = squared",
+     2, "[family]: beta range [-1e+308, 1e+308] is too wide"),
+    # every worst case is finite (R_4 = 4.1e307), but the one-sided q-slope
+    # overflows: a numerical error naming the field, not a JSON encoding error
+    ("exclusivity", "[model]\nn = 1\n[theta]\nlo = -2e77\nhi = 2e77\n"
+                    "[family]\nkind = affine_mean\ngamma_lo = 0.5\ngamma_hi = 0.6\n"
+                    "beta_lo = -1\nbeta_hi = 1\n[exclusivity]\nexponents = 2, 4",
+     3, "numerical error: gradient_q is not finite (-inf)"),
     # the risk overflows before a non-finite value can reach the search
     pytest.param("minimax", "[theta]\nlo = -1e100\nhi = 1e100\n[loss quartic]\nkind = power\n"
                  "p = 4\n" + FAMILY + "[minimax]\nloss = quartic", 3,
@@ -784,6 +831,56 @@ def test_solving_commands_never_import_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"  # the commands print above it
     assert (tmp_path / "minimax" / "minimax.json").exists()
     assert (tmp_path / "exclusivity" / "exclusivity.json").exists()
+
+
+# Every JSON document's tag and keys, in order.  A record's fields are its
+# keys, so renaming, adding, dropping or moving a field fails here until the
+# record's tag is bumped and this table follows it.
+ENVELOPE = ("minmax-lab/cli-output/v1",
+            ["schema", "tool_version", "command", "config_sha256", "seed", "result"])
+MINIMAX_RESULT = ("minmax-lab/minimax-result/v5",
+                  ["schema", "best_params", "minimax_value", "worst_case",
+                   "search_iterations", "converged", "breakpoint_gap"])
+WORST_CASE = ["sup_value", "argmax_theta", "sup_method", "constant_in_theta"]
+PARTITION_REPORT = ("minmax-lab/partition-report/v1",
+                    ["schema", "classes", "pairwise_disjoint", "witnesses", "param_distances"])
+CLASS_SUMMARY = ["exponent", "params", "value"]
+CERTIFICATE = ("minmax-lab/refutation-certificate/v2",
+               ["schema", "p", "q", "delta_star_params", "gradient_q", "gradient_p_norm",
+                "direction", "alpha", "delta_Rq", "delta_Rp", "taylor_slope_p", "verdict",
+                "ladder"])
+LADDER_POINT = ["alpha", "delta_Rp", "delta_Rq"]
+
+
+def test_every_schema_pins_its_key_order(write_config, tmp_path):
+    def run(name, command, *parts):
+        out = tmp_path / name
+        cfg = write_config(*parts, name=f"{name}.cfg")
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        (path,) = out.glob("*.json")
+        doc = json.loads(path.read_text())
+        assert (doc["schema"], list(doc)) == ENVELOPE
+        return doc["result"]
+
+    def tagged(doc):
+        return doc["schema"], list(doc)
+
+    affine = run("affine", "minimax", MM_BASE, "[minimax]\nloss = squared")
+    median = run("median", "minimax", MEDIAN_MODEL,
+                 "[theta]\nlo = -2\nhi = 3\n[run]\nseed = 7\n[minimax]\nloss = squared\n"
+                 "mc_samples = 2000")
+    for result in (affine, median):
+        assert tagged(result) == MINIMAX_RESULT
+        assert list(result["worst_case"]) == WORST_CASE
+    assert (affine["worst_case"]["sup_method"], median["worst_case"]["sup_method"]) == (
+        "endpoints", "constant")
+
+    report = run("pair", "exclusivity", MM_BASE, "[exclusivity]\nexponents = 2, 4")
+    assert tagged(report) == PARTITION_REPORT
+    assert [list(c) for c in report["classes"]] == [CLASS_SUMMARY] * 2
+    (witness,) = report["witnesses"]
+    assert tagged(witness) == CERTIFICATE
+    assert witness["ladder"] and all(list(pt) == LADDER_POINT for pt in witness["ladder"])
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -114,7 +114,7 @@ class TestAffineMinimax:
         assert result.best_params == (0.85, 0.0)
         assert result.minimax_value == pytest.approx(0.925, abs=1e-12)
         # the face beat the search point, so the two differ
-        assert result.restart_agreement > 0
+        assert result.breakpoint_gap > 0
 
     @pytest.mark.parametrize(
         "loss", [Power(0.5, 1), SumLoss((Power(0.5, 1), Power(4, 0.1)))], ids=["p0.5", "sum"]

@@ -1,9 +1,11 @@
 """Model, estimator specs, error draws and the exact error law."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, strategies as st
 
 from minmax_lab.errors import OracleEstimatorError, QuadratureUnsupportedError
 from minmax_lab.model import (
@@ -27,6 +29,23 @@ class TestValidation:
             Interval(2, -2)
         with pytest.raises(ValueError):
             Interval(0, math.inf)
+
+    @given(a=st.floats(allow_nan=False, allow_infinity=False),
+           b=st.floats(allow_nan=False, allow_infinity=False))
+    @example(a=1e308, b=1.7e308)
+    @example(a=-1.7e308, b=-1.6e308)
+    @example(a=-1e308, b=1e308)
+    @example(a=5e-324, b=1e-323)  # halving each end first rounds differently
+    def test_midpoint_is_finite_inside_and_keeps_its_bits(self, a, b):
+        assume(a != b)
+        lo, hi = min(a, b), max(a, b)
+        mid = Interval(lo, hi).midpoint
+        assert lo <= mid <= hi
+        # within one unit in the last place of the exact midpoint
+        assert abs(Fraction(mid) - (Fraction(lo) + Fraction(hi)) / 2) <= Fraction(math.ulp(mid))
+        if math.isfinite(lo + hi):
+            # the plain formula wherever it does not overflow, bit for bit
+            assert mid.hex() == (0.5 * (lo + hi)).hex()
 
     def test_model_requires_positive_n_and_sigma(self):
         for n in (0, -1, 2.5, math.inf, -math.inf, math.nan, "3", None):
