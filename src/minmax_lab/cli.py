@@ -26,7 +26,7 @@ import sys
 import tempfile
 from dataclasses import fields
 from pathlib import Path
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from . import __version__
 from .config import RunConfig, SectionView, load_config
@@ -93,14 +93,14 @@ def _write_csv(
 
 
 def _write_json(path: Path, cfg: RunConfig, seed: Optional[int], command: str,
-                result: Dict[str, Any]) -> None:
+                result: Any) -> None:
     document = {
         "schema": "minmax-lab/cli-output/v1",
         "tool_version": __version__,
         "command": command,
         "config_sha256": cfg.sha256,
         "seed": seed,
-        "result": result,
+        "result": to_document(result),
     }
     _atomic_write(path, to_json(document))
 
@@ -167,7 +167,7 @@ def cmd_minimax(cfg: RunConfig, args, out_dir: Path, seed: Optional[int]) -> int
     loss = cfg.loss(view.str("loss"))
     opts = _solve_options(cfg, view, seed)
     result = solve_minimax(cfg.model, cfg.family, loss, cfg.theta_interval, opts)
-    _write_json(out_dir / "minimax.json", cfg, seed, "minimax", to_document(result))
+    _write_json(out_dir / "minimax.json", cfg, seed, "minimax", result)
     print(
         f"minimax value {result.minimax_value:.6g} at params "
         f"{tuple(round(v, 6) for v in result.best_params)} "
@@ -189,7 +189,7 @@ def cmd_exclusivity(cfg: RunConfig, args, out_dir: Path, seed: Optional[int]) ->
         report = check_exclusivity_partition(
             cfg.model, cfg.family, exponents, cfg.theta_interval, opts
         )
-    _write_json(out_dir / "exclusivity.json", cfg, seed, "exclusivity", to_document(report))
+    _write_json(out_dir / "exclusivity.json", cfg, seed, "exclusivity", report)
 
     ladder_rows = []
     for cert in report.witnesses:
