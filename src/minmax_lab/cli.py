@@ -10,7 +10,8 @@ Commands (each takes --config PATH --out DIR [--seed N]):
     classify     local-exponent fits for named losses    -> classify.csv
 
 Exit codes: 0 success, 2 configuration error, 3 numerical error,
-4 minimax did not converge (suppressed by --allow-nonconverged).
+4 a minimax solve, or a class solve of exclusivity, did not converge (its
+files are still written; --allow-nonconverged exits 0 instead).
 Outputs are written atomically and contain no timestamps, so a rerun with
 the same config and seed is byte-identical.
 """
@@ -45,7 +46,7 @@ from .exclusivity import (
     mean_shift_risk_deriv,
 )
 from .losses import DEFAULT_POINTS, DEFAULT_WINDOW, classify_exponent
-from .minimax import MedianShiftFamily, SolveOptions, solve_minimax
+from .minimax import SolveOptions, solve_minimax
 from .model import _require_finite
 from .risk import MonteCarlo, Quadrature, risk
 from .serialize import to_document, to_json
@@ -105,28 +106,27 @@ def _write_json(path: Path, cfg: RunConfig, seed: Optional[int], command: str,
     _atomic_write(path, to_json(document))
 
 
-def _require_seed(seed: Optional[int], why: str) -> int:
-    if seed is None:
-        raise ConfigError(
-            f"run.seed is required {why}; set seed in the [run] section or pass --seed"
-        )
-    return seed
-
-
-def _solve_options(cfg: RunConfig, view: SectionView, seed: Optional[int]) -> SolveOptions:
+def _solve_options(cfg: RunConfig, view: SectionView) -> SolveOptions:
     """SolveOptions of a family solve for the `minimax` or `exclusivity`
-    command, named by its section: the config must have a [family], a
-    median_shift family needs a seed, and each option field that the section
-    sets is used.  The config table admits only the option fields, so no
-    other field can be set."""
+    command, named by its section: the config must have a [family], and
+    each option field that the section sets is used.  The config table
+    admits only the option fields, so no other field can be set.  Every
+    family solve is exact, so none needs a seed."""
     if cfg.family is None:
         raise ConfigError(f"missing [family] section ({view.name} needs a family)")
-    if isinstance(cfg.family, MedianShiftFamily):
-        _require_seed(seed, "when the family risk is Monte Carlo (median_shift)")
     with view.checked():
-        return SolveOptions(seed=0 if seed is None else seed,
-                            **{f.name: view.int(f.name) for f in fields(SolveOptions)
+        return SolveOptions(**{f.name: view.int(f.name) for f in fields(SolveOptions)
                                if view.has(f.name)})
+
+
+def _nonconverged(args, what: str) -> int:
+    """Exit code 4 for a solve that did not converge, unless
+    --allow-nonconverged accepts it."""
+    if args.allow_nonconverged:
+        return 0
+    print(f"{what} did not converge; rerun with --allow-nonconverged to accept",
+          file=sys.stderr)
+    return 4
 
 
 def cmd_risk(cfg: RunConfig, args, out_dir: Path, seed: Optional[int]) -> int:
@@ -148,8 +148,10 @@ def cmd_risk(cfg: RunConfig, args, out_dir: Path, seed: Optional[int]) -> int:
         if method_name == "quadrature":
             method = Quadrature()
         elif method_name == "monte_carlo":
-            mc_seed = _require_seed(seed, "when method = monte_carlo")
-            method = MonteCarlo(view.int("samples", 100_000), mc_seed)
+            if seed is None:
+                raise ConfigError("run.seed is required when method = monte_carlo; "
+                                  "set seed in the [run] section or pass --seed")
+            method = MonteCarlo(view.int("samples", 100_000), seed)
         else:
             raise ConfigError(f"[risk] method = {method_name!r} is not a risk method")
 
@@ -165,7 +167,7 @@ def cmd_risk(cfg: RunConfig, args, out_dir: Path, seed: Optional[int]) -> int:
 def cmd_minimax(cfg: RunConfig, args, out_dir: Path, seed: Optional[int]) -> int:
     view = cfg.section("minimax")
     loss = cfg.loss(view.str("loss"))
-    opts = _solve_options(cfg, view, seed)
+    opts = _solve_options(cfg, view)
     result = solve_minimax(cfg.model, cfg.family, loss, cfg.theta_interval, opts)
     _write_json(out_dir / "minimax.json", cfg, seed, "minimax", result)
     print(
@@ -173,17 +175,13 @@ def cmd_minimax(cfg: RunConfig, args, out_dir: Path, seed: Optional[int]) -> int
         f"{tuple(round(v, 6) for v in result.best_params)} "
         f"(converged={result.converged})"
     )
-    if not result.converged and not args.allow_nonconverged:
-        print("solver did not converge; rerun with --allow-nonconverged to accept",
-              file=sys.stderr)
-        return 4
-    return 0
+    return 0 if result.converged else _nonconverged(args, "solver")
 
 
 def cmd_exclusivity(cfg: RunConfig, args, out_dir: Path, seed: Optional[int]) -> int:
     view = cfg.section("exclusivity")
     exponents = view.floats("exponents")
-    opts = _solve_options(cfg, view, seed)
+    opts = _solve_options(cfg, view)
     # the partition's ValueErrors are about the exponents
     with view.checked():
         report = check_exclusivity_partition(
@@ -205,8 +203,9 @@ def cmd_exclusivity(cfg: RunConfig, args, out_dir: Path, seed: Optional[int]) ->
     for cert in report.witnesses:
         print(f"pair (p={cert.p:.4g}, q={cert.q:.4g}): {cert.verdict.value}")
     print(f"pairwise_disjoint={report.pairwise_disjoint}")
-    # verdicts are data, not errors: always a clean exit
-    return 0
+    # verdicts are data, not errors; only a class solve that did not
+    # converge makes the certificates suspect
+    return 0 if report.converged else _nonconverged(args, "a class solve")
 
 
 def cmd_shift_risk(cfg: RunConfig, args, out_dir: Path, seed: Optional[int]) -> int:

@@ -54,8 +54,9 @@ from .model import (
 
 # Keys of solver and certificate options that no longer exist; configs may
 # still set them, and they are ignored.
-RETIRED_KEYS = ("restarts", "grid", "refine_tol", "fatol", "agreement_tol", "halvings")
-_SOLVE_KEYS = tuple(f.name for f in fields(SolveOptions) if f.name != "seed")
+RETIRED_KEYS = ("restarts", "grid", "refine_tol", "fatol", "agreement_tol", "halvings",
+                "mc_samples")
+_SOLVE_KEYS = tuple(f.name for f in fields(SolveOptions))
 
 # Every section and the keys it takes.  [loss NAME] and [estimator NAME]
 # carry a name; they and [family] take `kind` and the keys of that kind.

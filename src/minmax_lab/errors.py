@@ -21,9 +21,9 @@ class DegenerateLossError(MinmaxLabError):
 
 
 class QuadratureUnsupportedError(MinmaxLabError):
-    """Quadrature needs an exact Gaussian error law, and an exact worst case
-    needs a theta-free or Gaussian-affine error; this estimator only admits
-    an empirical one."""
+    """Quadrature and an exact worst case need an exact error law, which
+    affine rules and the sample median have; this estimator (a
+    sign-perturbed rule) only admits an empirical, Monte Carlo one."""
 
 
 class NonFiniteRiskError(MinmaxLabError):

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar, Literal, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,7 +44,6 @@ from .minimax import (
     FamilySpec,
     MinimaxResult,
     SolveOptions,
-    family_method,
     solve_minimax,
     worst_case_on_profile,
 )
@@ -92,15 +91,11 @@ def grad_worst_case(
     params: Sequence[float],
     loss: LossSpec,
     theta_interval: Interval,
-    opts: Optional[SolveOptions] = None,
 ) -> np.ndarray:
     """Central finite-difference gradient of sup_theta risk over all family
     parameters: the acceptance gate checks it; the refutation does not use it."""
     h = 1e-4
-    if opts is None:
-        opts = SolveOptions()
     params = np.asarray(params, dtype=float)
-    method = family_method(family, opts)
 
     grad = np.empty_like(params)
     for i in range(params.size):
@@ -112,8 +107,8 @@ def grad_worst_case(
                 f"params {tuple(params)} are not interior to the family box "
                 f"at step {h} in coordinate {i}"
             )
-        f_up = worst_case_risk(model, family.make(up), loss, theta_interval, method=method)
-        f_dn = worst_case_risk(model, family.make(dn), loss, theta_interval, method=method)
+        f_up = worst_case_risk(model, family.make(up), loss, theta_interval)
+        f_dn = worst_case_risk(model, family.make(dn), loss, theta_interval)
         grad[i] = (f_up.sup_value - f_dn.sup_value) / (2.0 * h)
     return grad
 
@@ -136,9 +131,6 @@ def refute_joint_minimaxity(
     result of solve_minimax for loss_p with the same model, family, interval
     and `opts`; it is used instead of solving that problem again.
     """
-    if opts is None:
-        opts = SolveOptions()
-
     cls_p = classify_exponent(loss_p)
     cls_q = classify_exponent(loss_q)
     if cls_p.p_hat <= 1.0 or cls_q.p_hat <= 1.0:
@@ -156,10 +148,9 @@ def refute_joint_minimaxity(
         mm = solve_minimax(model, family, loss_p, theta_interval, opts)
     x = mm.best_params[0]
     box = family.bounds[0]
-    method = family_method(family, opts)
 
     def worst(loss: LossSpec, at: float) -> float:
-        return worst_case_on_profile(model, family, at, loss, theta_interval, method).sup_value
+        return worst_case_on_profile(model, family, at, loss, theta_interval).sup_value
 
     # difference quotients: central in the interior, one-sided at a face,
     # where x is one end of the quotient and its risks are rp0 and rq0
@@ -289,7 +280,11 @@ class ClassSummary:
 
 @dataclass(frozen=True)
 class PartitionReport:
-    """Joint outcome of per-class minimax solves and all pairwise refutations."""
+    """Joint outcome of per-class minimax solves and all pairwise refutations.
+
+    `converged` is True when every class solve converged.  It is a run fact
+    for the exit code and is kept out of the JSON document.
+    """
 
     SCHEMA: ClassVar[str] = "minmax-lab/partition-report/v1"
 
@@ -297,6 +292,7 @@ class PartitionReport:
     pairwise_disjoint: bool
     witnesses: Tuple[RefutationCertificate, ...]
     param_distances: Tuple[Tuple[float, ...], ...]
+    converged: bool = field(metadata={"json": False})
 
 
 def check_exclusivity_partition(
@@ -324,8 +320,6 @@ def check_exclusivity_partition(
         raise ExponentPreconditionError(
             f"all exponents must be finite and exceed 1, got {exponents}"
         )
-    if opts is None:
-        opts = SolveOptions()
 
     exponents = sorted(exponents)
     losses = [Power(p=p) for p in exponents]
@@ -350,4 +344,5 @@ def check_exclusivity_partition(
         param_distances=tuple(
             tuple(float(np.linalg.norm(a - b)) for b in optima) for a in optima
         ),
+        converged=all(r.converged for r in results),
     )

@@ -1,13 +1,16 @@
 """Smallest worst-case risk over a parametric estimator family.
 
 Every family here has one free coordinate, the first of its parameters, so
-the outer problem is a bounded scalar search.  AffineMeanFamily searches
-gamma: by Anderson's lemma the worst case of gamma * mean(X) + beta depends
+the outer problem is at most a bounded scalar search.  AffineMeanFamily
+searches gamma: by Anderson's lemma the worst case of gamma * mean(X) + beta depends
 on beta only through max |(gamma - 1) * theta + beta| over the two ends of
 the theta interval, which beta*(gamma) = (1 - gamma) * mid, clipped to the
-beta range, minimizes for every loss.  MedianShiftFamily searches its shift.
+beta range, minimizes for every loss.  MedianShiftFamily needs no search:
+the median's error law is symmetric and log-concave, so by the same lemma
+the worst case of median(X) + beta is nondecreasing in |beta|, and the
+optimum is the beta of the range closest to 0, from one worst case.
 
-The search is a port of scipy's bounded Brent method (Brent 1973,
+The affine search is a port of scipy's bounded Brent method (Brent 1973,
 `minimize_scalar(method="bounded")`), bit-identical to it: the same points
 are evaluated in the same order, and it imports nothing beyond `math`, so
 a command starts without loading scipy.  It keeps the name
@@ -27,21 +30,8 @@ from dataclasses import dataclass
 from typing import Callable, ClassVar, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .losses import LossSpec
-from .model import (
-    AffineMean,
-    EstimatorSpec,
-    GaussianLocationModel,
-    Interval,
-    SampleMedian,
-    derive_seed,
-)
-from .risk import (
-    MonteCarlo,
-    Quadrature,
-    RiskMethod,
-    WorstCaseResult,
-    worst_case_risk,
-)
+from .model import AffineMean, EstimatorSpec, GaussianLocationModel, Interval, SampleMedian
+from .risk import WorstCaseResult, worst_case_risk
 
 
 @dataclass(frozen=True)
@@ -97,27 +87,19 @@ class MedianShiftFamily:
     def profile(self, beta: float, theta_interval: Interval) -> Tuple[float]:
         return (beta,)
 
-    def breakpoints(self, theta_interval: Interval) -> Tuple[float, ...]:
-        return (self.beta_range.lo, self.beta_range.hi)
-
 
 FamilySpec = Union[AffineMeanFamily, MedianShiftFamily]
 
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Master seed, iteration cap of the scalar search, and Monte Carlo
-    sample count of the families without an exact Gaussian law."""
+    """Iteration cap of the scalar search."""
 
-    seed: int = 0
     maxiter: int = 600
-    mc_samples: int = 20_000
 
     def __post_init__(self):
         if self.maxiter < 1:
             raise ValueError(f"maxiter must be >= 1, got {self.maxiter}")
-        if self.mc_samples < 1:
-            raise ValueError(f"mc_samples must be >= 1, got {self.mc_samples}")
 
 
 @dataclass(frozen=True)
@@ -251,21 +233,13 @@ def scipy_minimize(
     return BoundedSearch(x=xf, fun=fx, nit=num, nfev=num, success=success)
 
 
-def family_method(family: FamilySpec, opts: SolveOptions) -> RiskMethod:
-    """Risk method for a family: exact quadrature when available, else
-    seeded Monte Carlo with common random numbers across the whole solve."""
-    if isinstance(family, AffineMeanFamily):
-        return Quadrature()
-    return MonteCarlo(opts.mc_samples, derive_seed(opts.seed, 1))
-
-
 def worst_case_on_profile(
     model: GaussianLocationModel, family: FamilySpec, x: float, loss: LossSpec,
-    theta_interval: Interval, method: RiskMethod,
+    theta_interval: Interval,
 ) -> WorstCaseResult:
     """worst_case_risk of family.profile(x): the best member for free coordinate x."""
     params = family.profile(x, theta_interval)
-    return worst_case_risk(model, family.make(params), loss, theta_interval, method=method)
+    return worst_case_risk(model, family.make(params), loss, theta_interval)
 
 
 def solve_minimax(
@@ -280,17 +254,23 @@ def solve_minimax(
     `search_iterations` is the search's iteration count and `converged` its
     success flag; a False flag still returns the best point found.
     `breakpoint_gap` is the distance from the search point to the
-    returned one, nonzero only when a breakpoint won.
+    returned one, nonzero only when a breakpoint won.  A median family
+    takes its closed-form optimum: no search, 0 iterations, converged.
     """
     if opts is None:
         opts = SolveOptions()
-    method = family_method(family, opts)
     box = family.bounds[0]
+    if isinstance(family, MedianShiftFamily):
+        # never -0.0: max and min keep their first argument on a tie
+        x = min(max(0.0, box.lo), box.hi)
+        inner = worst_case_on_profile(model, family, x, loss, theta_interval)
+        return MinimaxResult(best_params=(x,), minimax_value=inner.sup_value,
+                             worst_case=inner, search_iterations=0, converged=True,
+                             breakpoint_gap=0.0)
     # cached by x: the breakpoint comparison below starts with the search's
     # own point, which the search has already evaluated
     worst_at = functools.lru_cache(maxsize=None)(functools.partial(
-        worst_case_on_profile, model, family,
-        loss=loss, theta_interval=theta_interval, method=method,
+        worst_case_on_profile, model, family, loss=loss, theta_interval=theta_interval,
     ))
     search = scipy_minimize(lambda x: worst_at(x).sup_value, box.lo, box.hi, opts.maxiter)
     x_search = search.x
@@ -309,4 +289,3 @@ def solve_minimax(
         converged=bool(search.success),
         breakpoint_gap=abs(x_search - x),
     )
-

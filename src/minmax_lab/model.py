@@ -6,9 +6,10 @@ is excluded by construction.  Everything here is a pure function of its
 inputs plus an explicit seed.
 
 The error delta(X) - theta of a rule is available in two forms: seeded
-draws for every rule (`error_draws`), and, for the affine-in-mean rules
-only, the exact Gaussian law mu + s*Z as the plain pair (mu, s)
-(`error_law`).  `error_law` alone decides which rules have such a law.
+draws for every rule (`error_draws`), and, for the affine-in-mean rules and
+the sample median, the exact law mu + s*Y as the triple (mu, s, weight),
+where Y has the density weight(y) * phi(y) (`error_law`).  `error_law` alone
+decides which rules have an exact law.
 """
 
 from __future__ import annotations
@@ -16,11 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
 from .errors import OracleEstimatorError, QuadratureUnsupportedError
+from .quadrature import _leggauss
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -98,7 +100,9 @@ class SampleMedian:
     """delta(X) = median(X) + beta.
 
     For even n the median is the midpoint of the two central order
-    statistics (removes tie ambiguity); odd n is the intended default.
+    statistics (removes tie ambiguity).  Its law is exact for every n
+    (see `error_law`): symmetric and log-concave, so by Anderson's lemma the
+    risk of every loss here is smallest at beta = 0.
     """
 
     beta: float = 0.0
@@ -217,27 +221,79 @@ def error_draws(
     return base_err + est.epsilon * np.sign(est.theta_star - base_val)
 
 
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _log_cdf(t: np.ndarray) -> np.ndarray:
+    """log Phi(t) elementwise, by math.erfc: no scipy on the run path."""
+    return np.log(0.5 * _erfc(t / -math.sqrt(2.0)).astype(float))
+
+
+@lru_cache(maxsize=32)
+def _median_weight(n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Density of Y = M / s_med relative to phi, where M is the median of n
+    standard normals and s_med = sqrt(pi / (2n)) (David & Nagaraja, *Order
+    Statistics*, 2003).  Scaling by s_med keeps Y near N(0, 1) for every n.
+
+    Odd n = 2k+1: M has density n!/(k!)^2 (Phi(m) Phi(-m))^k phi(m).  Even
+    n = 2k: M = (X_(k) + X_(k+1)) / 2 has density 2 n!/((k-1)!)^2 / (2 pi)
+    times the integral over d >= 0 of (Phi(m-d) Phi(-m-d))^(k-1) e^(-m^2-d^2).
+    That integrand is log-concave and decreasing in d, so it lies below
+    e^(-rate d - d^2) times its value at 0, with rate its log-slope there;
+    a 32-node Legendre rule on [0, D], where that bound has dropped by e^-40,
+    sums it in logs.
+    """
+    s, k = math.sqrt(math.pi / (2 * n)), n // 2
+    if n % 2:
+        const = math.log(s) + math.lgamma(n + 1) - 2 * math.lgamma(k + 1)
+
+        def weight(y):
+            x = s * y
+            return np.exp(const + k * (_log_cdf(x) + _log_cdf(-x)) + 0.5 * (y * y - x * x))
+        return weight
+    const = math.log(s / math.sqrt(0.5 * math.pi)) + math.lgamma(n + 1) - 2 * math.lgamma(k)
+    _, w, x1 = _leggauss(32)
+
+    def weight(y):
+        x = s * y
+        phi = np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
+        rate = (k - 1) * phi * (np.exp(-_log_cdf(x)) + np.exp(-_log_cdf(-x)))
+        span = 0.5 * (np.sqrt(rate * rate + 160.0) - rate)  # rate*span + span^2 = 40
+        d = span[:, None] * (0.5 * x1)
+        terms = (k - 1) * (_log_cdf(x[:, None] - d) + _log_cdf(-x[:, None] - d)) - d * d
+        top = terms.max(axis=1)
+        inner = np.log(0.5 * span * np.dot(np.exp(terms - top[:, None]), w)) + top
+        return np.exp(const + inner + 0.5 * y * y - x * x)
+    return weight
+
+
 def error_law(
     model: GaussianLocationModel,
     est: EstimatorSpec,
     theta: float,
-) -> Tuple[float, float]:
-    """Exact law of delta(X) - theta as the pair (mu, s): the error is
-    mu + s * Z with Z ~ N(0, 1).
+) -> Tuple[float, float, Optional[Callable[[np.ndarray], np.ndarray]]]:
+    """Exact law of delta(X) - theta as the triple (mu, s, weight): the
+    error is mu + s * Y, where Y has the density weight(y) * phi(y), and a
+    weight of None means Y is standard normal.
 
     For AffineMean(gamma, beta) the error is (gamma-1)*theta + beta plus
     gamma * sigma/sqrt(n) times a standard normal.  The scale is reported as
     |gamma| * sigma/sqrt(n); the symmetric normal makes this the same law as
-    the signed version.  No other rule has an exact Gaussian error, so any
+    the signed version.  For SampleMedian(beta) it is beta + sigma * M for
+    the median M of n standard normals, with Y = M / sqrt(pi / (2n)) and the
+    weight of `_median_weight`.  No other rule has an exact law, so any
     other spec raises QuadratureUnsupportedError.  An overflow comes back as
     an infinite mu or s; the risk is then not finite, and `risk.risk`
     reports that as NonFiniteRiskError.
     """
     check_estimator(est)
+    if isinstance(est, SampleMedian):
+        s_med = math.sqrt(math.pi / (2 * model.n))
+        return est.beta, model.sigma * s_med, _median_weight(model.n)
     if not isinstance(est, AffineMean):
         raise QuadratureUnsupportedError(
             f"{type(est).__name__} has no exact Gaussian error law; "
             "use a MonteCarlo method"
         )
     mu = (est.gamma - 1.0) * float(theta) + est.beta
-    return mu, abs(est.gamma) * model.mean_sd
+    return mu, abs(est.gamma) * model.mean_sd, None

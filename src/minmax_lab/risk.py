@@ -1,28 +1,30 @@
 """Pointwise risk and worst-case risk over a parameter interval.
 
-Risk at theta is E[L(theta, delta(X))] under the model at theta.  For
-affine-in-mean estimators the error is exactly mu + s*Z with Z standard
-normal; `model.error_law` gives the pair (mu, s), and the expectation is a
-segmented Gauss-Legendre integral (machine precision at 200 nodes per
-segment; see quadrature.py).  Every other estimator has no such law, so
-Quadrature raises QuadratureUnsupportedError for it and it is handled by
-seeded Monte Carlo.
+Risk at theta is E[L(theta, delta(X))] under the model at theta.  Affine
+rules and the sample median have an exact error law mu + s*Y
+(`model.error_law`): Y is standard normal for an affine rule, and has the
+density weight(y) * phi(y) for the median, so the weight multiplies the
+loss in the integrand.  The expectation is a segmented Gauss-Legendre
+integral (machine precision at 200 nodes per segment; see quadrature.py).
+Sign-perturbed rules have no such law, so Quadrature raises
+QuadratureUnsupportedError for them and they are handled by seeded Monte
+Carlo.
 
-Worst-case risk uses the structure of the estimator and the risk method,
-and records which sup method it used (`WorstCaseResult.sup_method`):
+Worst-case risk is always exact: it uses the structure of the estimator,
+evaluates one quadrature risk, and records which sup method it used
+(`WorstCaseResult.sup_method`):
 
-  * "constant": the error draws do not depend on theta (SampleMedian, and
+  * "constant": the error law does not depend on theta (SampleMedian, and
     identity-weight affine rules with gamma = 1), so the risk is theta-free.
     One evaluation at the interval midpoint.
-  * "endpoints": an affine rule under quadrature has the exactly Gaussian
-    error mu(theta) + s*Z with mu affine in theta.  Every loss here is even
-    and nondecreasing in |t|, so by Anderson's lemma the risk depends on mu
+  * "endpoints": an affine rule has the exactly Gaussian error
+    mu(theta) + s*Z with mu affine in theta.  Every loss here is even and
+    nondecreasing in |t|, so by Anderson's lemma the risk depends on mu
     only through |mu| and is nondecreasing in it: the exact sup sits at the
     interval endpoint with the larger |mu|.  One evaluation, at that
     endpoint.
 
-No other rule has an exact worst case here (SignPerturbed rules, and affine
-rules with gamma != 1 under Monte Carlo), so worst_case_risk raises
+SignPerturbed rules have neither structure, so worst_case_risk raises
 QuadratureUnsupportedError for them before evaluating any risk.  Their
 pointwise risk is still available from `risk`.
 """
@@ -116,16 +118,19 @@ def risk(
     """
     theta = _require_finite("theta", theta)
     if isinstance(method, Quadrature):
-        mu, s = error_law(model, est, theta)
+        mu, s, weight = error_law(model, est, theta)
         kinks, roots = loss_breakpoints(loss)
         # the loss argument is theta - delta = -(error), but every loss spec
         # is even bit for bit (|-t| = |t|, (-t)*(-t) = t*t) and its
         # breakpoints are symmetric, so the error goes in unnegated here and
         # in the Monte Carlo branch below;
         # tests/test_losses.py::test_loss_of_error_is_even_bit_for_bit pins it
-        value = gaussian_expectation(
-            functools.partial(loss_of_error, loss), mu, s, kinks=kinks, roots=roots,
-        )
+        if weight is None:
+            integrand = functools.partial(loss_of_error, loss)
+        else:
+            def integrand(t):
+                return loss_of_error(loss, t) * weight((t - mu) / s)
+        value = gaussian_expectation(integrand, mu, s, kinks=kinks, roots=roots)
         return RiskEstimate(_checked(value, f"theta={theta}"))
     errs = error_draws(model, est, theta, method.samples, method.seed)
     losses = loss_of_error(loss, errs)
@@ -204,28 +209,24 @@ def worst_case_risk(
     est: EstimatorSpec,
     loss: LossSpec,
     theta_interval: Interval,
-    method: RiskMethod = Quadrature(),
 ) -> WorstCaseResult:
-    """sup over theta_interval of the risk, by the method the estimator's
-    structure allows (see the module docstring).
+    """Exact sup over theta_interval of the risk, by the structure of the
+    estimator (see the module docstring).
 
-    A rule with neither structure raises QuadratureUnsupportedError.  The
-    default Quadrature method serves affine rules only; the sample median
-    needs a MonteCarlo method and raises QuadratureUnsupportedError without
-    one.
+    A SignPerturbed rule has no such structure and raises
+    QuadratureUnsupportedError.
     """
     check_estimator(est)
     if isinstance(est, SampleMedian) or (isinstance(est, AffineMean) and est.gamma == 1.0):
         theta, sup_method = theta_interval.midpoint, "constant"
-    elif isinstance(est, AffineMean) and isinstance(method, Quadrature):
+    elif isinstance(est, AffineMean):
         lo, hi = theta_interval.lo, theta_interval.hi
         # the risk is nondecreasing in |mu(theta)|; ties go to lo
         mu_lo, mu_hi = error_law(model, est, lo)[0], error_law(model, est, hi)[0]
         theta, sup_method = (hi if abs(mu_hi) > abs(mu_lo) else lo), "endpoints"
     else:
         raise QuadratureUnsupportedError(
-            f"{type(est).__name__} under {type(method).__name__} has no exact "
-            "worst case: only theta-free rules, and affine rules under "
-            "Quadrature, have one"
+            f"{type(est).__name__} has no exact worst case: only theta-free "
+            "rules and affine rules have one"
         )
-    return WorstCaseResult(risk(model, est, loss, theta, method).value, theta, sup_method)
+    return WorstCaseResult(risk(model, est, loss, theta, Quadrature()).value, theta, sup_method)

@@ -4,8 +4,9 @@ Each result record defines its own JSON: `to_document` writes a
 dataclass's fields in declaration order, led by `"schema"` when the class
 declares a `SCHEMA` tag.  A field name is a key of the output, so renaming,
 adding, removing or reordering a field of a record, or of a record nested
-in it, means bumping the tag.  A non-finite float anywhere in a record is
-a NonFiniteRiskError that names its field.
+in it, means bumping the tag; a field whose metadata sets "json" to False
+is not written.  A non-finite float anywhere in a record is a
+NonFiniteRiskError that names its field.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from .errors import NonFiniteRiskError
 
 @functools.lru_cache(maxsize=None)
 def _layout(cls: type) -> Tuple[Optional[str], Tuple[str, ...]]:
-    return getattr(cls, "SCHEMA", None), tuple(f.name for f in fields(cls))
+    names = tuple(f.name for f in fields(cls) if f.metadata.get("json", True))
+    return getattr(cls, "SCHEMA", None), names
 
 
 def to_document(value: Any, name: str = "result") -> Any:

@@ -6,12 +6,14 @@ dense parameter scans.  Keeping them separate from the package is the point;
 do not import library internals here.
 """
 
+import functools
 import math
 
 import numpy as np
 from scipy import integrate
 from scipy.optimize import minimize_scalar
 from scipy.special import gamma as gamma_fn
+from scipy.special import gammaln, ndtr
 from scipy.special import hyp1f1
 
 #: Break points are passed to QUADPACK only for |z| below this.  One within
@@ -71,6 +73,54 @@ def quadpack_sum_risk(mu: float, s: float, terms) -> float:
     """Risk of a sum of c * |t|^p terms, given as (c, p) pairs: by linearity,
     the sum of the terms' QUADPACK risks."""
     return sum(c * quadpack_power_risk(mu, s, p) for c, p in terms)
+
+
+def _median_density(n: int, m: float) -> float:
+    """Density of the median of n (odd) standard normals at m (David &
+    Nagaraja, *Order Statistics*, 2003): n!/(k!)^2 (Phi(m) Phi(-m))^k phi(m)."""
+    k = n // 2
+    log_c = gammaln(n + 1) - 2 * gammaln(k + 1)
+    return math.exp(log_c - 0.5 * m * m) * (ndtr(m) * ndtr(-m)) ** k / math.sqrt(2 * math.pi)
+
+
+def _central_pair_density(n: int, u: float, v: float) -> float:
+    """Joint density of the central order statistics (X_(k), X_(k+1)) of
+    n = 2k standard normals at u < v."""
+    k = n // 2
+    log_c = gammaln(n + 1) - 2 * gammaln(k)
+    return (math.exp(log_c - 0.5 * (u * u + v * v)) / (2 * math.pi)
+            * (ndtr(u) * ndtr(-v)) ** (k - 1))
+
+
+@functools.lru_cache(maxsize=None)  # the 2-D integral of even n takes up to a second
+def quadpack_median_risk(n: int, beta: float, p: float, sigma: float = 1.0) -> float:
+    """E|beta + sigma * M|^p for the sample median M of n standard normals.
+
+    Odd n: QUADPACK on the order-statistic density of M.  Even n: M is the
+    midpoint of X_(k) and X_(k+1), and the risk is a 2-D QUADPACK integral
+    over their joint density, split where beta + sigma * (u + v) / 2 = 0.
+    """
+    root = -beta / sigma
+
+    def loss(m):
+        return abs(beta + sigma * m) ** p
+
+    if n % 2:
+        value, _ = integrate.quad(lambda m: loss(m) * _median_density(n, m), -15, 15,
+                                  points=[root] if abs(root) < BREAK_Z else None,
+                                  limit=500, epsabs=1e-15, epsrel=1e-13)
+        return value
+
+    def inner(u):
+        cut = 2 * root - u  # where the midpoint crosses the root
+        value, _ = integrate.quad(lambda v: loss(0.5 * (u + v)) * _central_pair_density(n, u, v),
+                                  u, 15, points=[cut] if u < cut < 15 else None,
+                                  limit=500, epsabs=1e-15, epsrel=1e-13)
+        return value
+
+    value, _ = integrate.quad(inner, -15, 15, points=[root] if abs(root) < BREAK_Z else None,
+                              limit=500, epsabs=1e-15, epsrel=1e-13)
+    return value
 
 
 def fourth_moment(mu: float, s: float) -> float:

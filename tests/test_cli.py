@@ -17,6 +17,8 @@ import pytest
 from minmax_lab.cli import _COMMANDS, main
 from minmax_lab.config import RETIRED_KEYS, SECTIONS
 
+from oracles import quadpack_median_risk
+
 BASE = """
     [model]
     n = 4
@@ -225,6 +227,28 @@ class TestRiskCommand:
         )
         assert main(["risk", "--config", str(cfg), "--out", str(out_dir)]) == 3
 
+    def test_median_quadrature_is_exact(self, write_config, out_dir):
+        cfg = write_config(
+            BASE,
+            """
+            [estimator med]
+            kind = sample_median
+            beta = 0.1
+
+            [risk]
+            estimator = med
+            loss = squared
+            thetas = -1, 2
+            method = quadrature
+            """
+        )
+        assert main(["risk", "--config", str(cfg), "--out", str(out_dir)]) == 0
+        _, rows = read_csv(out_dir / "risk.csv")
+        # the median's law is theta-free, and quadrature has no standard error
+        assert rows[1][1] == rows[2][1]
+        assert [row[2] for row in rows[1:]] == ["0.0", "0.0"]
+        assert float(rows[1][1]) == pytest.approx(quadpack_median_risk(4, 0.1, 2.0), rel=1e-10)
+
 
 MM_BASE = """
     [model]
@@ -420,7 +444,40 @@ class TestMinimaxCommand:
         assert (other / "minimax.json").read_bytes() == (out_dir / "minimax.json").read_bytes()
 
 
+def test_median_family_runs_without_a_seed_byte_identically(write_config, tmp_path):
+    # no solve or certificate of the median family draws a sample, so none
+    # needs a seed; the retired mc_samples is still accepted and ignored
+    theta = "[theta]\nlo = -3\nhi = 3"
+    for command, section in (("minimax", "[minimax]\nloss = squared\nmc_samples = 0"),
+                             ("exclusivity", "[exclusivity]\nexponents = 2, 4")):
+        cfg = write_config(MEDIAN_MODEL, theta, section, name=f"{command}.cfg")
+        first, second = tmp_path / f"{command}1", tmp_path / f"{command}2"
+        for out in (first, second):
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        names = sorted(path.name for path in first.iterdir())
+        assert names == sorted(path.name for path in second.iterdir())
+        assert all((first / name).read_bytes() == (second / name).read_bytes() for name in names)
+    doc = json.loads((tmp_path / "minimax1" / "minimax.json").read_text())
+    assert doc["seed"] is None
+    result = doc["result"]
+    assert (result["best_params"], result["search_iterations"], result["converged"]) == (
+        [0.0], 0, True)
+
+
 class TestExclusivityCommand:
+    def test_nonconverged_class_solve_exits_4_and_still_writes(
+        self, write_config, out_dir, tmp_path, capsys
+    ):
+        # maxiter = 1 stops both class searches at their first point
+        cfg = write_config(MM_BASE, "[exclusivity]\nexponents = 2, 4\nmaxiter = 1")
+        assert main(["exclusivity", "--config", str(cfg), "--out", str(out_dir)]) == 4
+        assert "did not converge" in capsys.readouterr().err
+        other = tmp_path / "out2"
+        argv = ["exclusivity", "--config", str(cfg), "--out", str(other), "--allow-nonconverged"]
+        assert main(argv) == 0
+        for name in ("exclusivity.json", "alpha_ladder.csv"):
+            assert (other / name).read_bytes() == (out_dir / name).read_bytes()
+
     def test_bounded_pair(self, write_config, out_dir):
         cfg = write_config(
             MM_BASE,
@@ -707,7 +764,6 @@ STRAY_KEYS = [
 OUT_OF_RANGE = [
     ("minimax", "minimax", "maxiter = 0"),
     ("minimax", "minimax", "maxiter = -3"),
-    ("minimax", "minimax", "mc_samples = 0"),
     ("exclusivity", "exclusivity", "maxiter = 0"),
     ("shift-risk", "shift_risk", "n = 0"),
 ]
@@ -815,22 +871,28 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 def test_solving_commands_never_import_scipy(tmp_path):
     # importing scipy.optimize took about 0.55 s of every command's start-up
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(ALL_SECTIONS)
+    # the median family's exact law is computed with math.erfc, not scipy
+    (tmp_path / "affine.cfg").write_text(ALL_SECTIONS)
+    (tmp_path / "median.cfg").write_text(
+        textwrap.dedent(MEDIAN_MODEL) + "[theta]\nlo = -3\nhi = 3\n"
+        "[minimax]\nloss = squared\n[exclusivity]\nexponents = 2, 4\n")
     script = textwrap.dedent(f"""
         import sys
         from minmax_lab.cli import main
-        for command in ("minimax", "exclusivity"):
-            out = {str(tmp_path)!r} + "/" + command
-            assert main([command, "--config", {str(cfg)!r}, "--out", out]) == 0
+        for family in ("affine", "median"):
+            for command in ("minimax", "exclusivity"):
+                cfg = {str(tmp_path)!r} + "/" + family + ".cfg"
+                out = {str(tmp_path)!r} + "/" + family + "-" + command
+                assert main([command, "--config", cfg, "--out", out]) == 0
         print([m for m in sys.modules if m == "scipy" or m.startswith("scipy.")])
     """)
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"  # the commands print above it
-    assert (tmp_path / "minimax" / "minimax.json").exists()
-    assert (tmp_path / "exclusivity" / "exclusivity.json").exists()
+    for family in ("affine", "median"):
+        assert (tmp_path / f"{family}-minimax" / "minimax.json").exists()
+        assert (tmp_path / f"{family}-exclusivity" / "exclusivity.json").exists()
 
 
 # Every JSON document's tag and keys, in order.  A record's fields are its

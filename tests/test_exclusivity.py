@@ -17,7 +17,7 @@ from minmax_lab.exclusivity import (
     refute_joint_minimaxity,
 )
 from minmax_lab.losses import Power, Scaled, scale_loss
-from minmax_lab.minimax import AffineMeanFamily, SolveOptions
+from minmax_lab.minimax import AffineMeanFamily, MedianShiftFamily, SolveOptions
 from minmax_lab.model import AffineMean, GaussianLocationModel, Interval, SignPerturbed
 from minmax_lab.risk import MonteCarlo, risk
 
@@ -57,16 +57,11 @@ class TestGradient:
             grad_worst_case(M1, FAMILY, (0.0, 0.0), Power(2, 1), THETA3)
 
     def test_median_family_gradient_by_symmetry(self):
-        from minmax_lab.minimax import MedianShiftFamily
-
         model = GaussianLocationModel(n=11)
         family = MedianShiftFamily(beta_range=Interval(-1, 1))
-        g = grad_worst_case(
-            model, family, (0.0,), Power(2, 1), THETA3,
-            opts=SolveOptions(mc_samples=50_000, seed=3),
-        )
-        # the shared-draw sample is not exactly symmetric, so only near zero
-        assert abs(g[0]) < 0.05
+        g = grad_worst_case(model, family, (0.0,), Power(2, 1), THETA3)
+        # the exact risks at +-h mirror each other bit for bit
+        assert g[0] == 0.0
 
 
 class TestRefutation:
@@ -110,9 +105,9 @@ class TestRefutation:
         p_solution = module.solve_minimax(M1, family, Power(2, 1), THETA3)
         inner, seen = module.worst_case_on_profile, []
 
-        def counting(model, fam, x, loss, theta_interval, method):
+        def counting(model, fam, x, loss, theta_interval):
             seen.append((loss, x))
-            return inner(model, fam, x, loss, theta_interval, method)
+            return inner(model, fam, x, loss, theta_interval)
 
         monkeypatch.setattr(module, "worst_case_on_profile", counting)
         cert = refute_joint_minimaxity(
@@ -121,8 +116,7 @@ class TestRefutation:
         assert cert.delta_star_params[0] == gamma_hi
         assert len(seen) == calls and len(set(seen)) == calls
         # the reused p-risk is the worst case at the face, bit for bit
-        method = module.family_method(family, OPTS)
-        p_risk = [inner(M1, family, x, Power(2, 1), THETA3, method).sup_value
+        p_risk = [inner(M1, family, x, Power(2, 1), THETA3).sup_value
                   for x in (gamma_hi - 1e-4, gamma_hi)]
         assert cert.gradient_p_norm == abs(p_risk[1] - p_risk[0]) / (gamma_hi - (gamma_hi - 1e-4))
 
@@ -387,3 +381,28 @@ class TestPartition:
     def test_nonsmooth_exponents_rejected(self):
         with pytest.raises(ExponentPreconditionError):
             check_exclusivity_partition(M1, FAMILY, [1, 2], THETA3, OPTS)
+
+
+class TestMedianCertificates:
+    """The median family's optimum is closed-form and its risks exact, so
+    the symmetric case is stationary for both classes at beta = 0."""
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_symmetric_box_is_stationary_for_both_at_zero(self, n):
+        family = MedianShiftFamily(beta_range=Interval(-1, 1))
+        report = check_exclusivity_partition(GaussianLocationModel(n=n), family, [2, 4], THETA3)
+        assert [c.params for c in report.classes] == [(0.0,), (0.0,)]
+        (cert,) = report.witnesses
+        assert cert.verdict is Verdict.STATIONARY_BOTH
+        assert (cert.gradient_q, cert.direction, cert.ladder) == ((0.0,), (0.0,), ())
+        assert report.converged
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_box_off_zero_is_stationary_on_its_face(self, n):
+        # beta* = 0.5, the face nearest 0; the q-descent points out of the box
+        family = MedianShiftFamily(beta_range=Interval(0.5, 1))
+        report = check_exclusivity_partition(GaussianLocationModel(n=n), family, [2, 4], THETA3)
+        assert [c.params for c in report.classes] == [(0.5,), (0.5,)]
+        (cert,) = report.witnesses
+        assert cert.verdict is Verdict.STATIONARY_BOTH
+        assert cert.gradient_q[0] > 0.0 and cert.direction == (0.0,)

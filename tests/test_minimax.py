@@ -23,6 +23,7 @@ from oracles import (
     affine_l2_grid_min,
     affine_l2_worst,
     affine_l4_worst,
+    quadpack_median_risk,
     scan_min,
     scipy_bounded_search,
 )
@@ -230,13 +231,34 @@ class TestMedianShift:
     def test_symmetric_loss_centers_the_shift(self):
         model = GaussianLocationModel(n=11)
         family = MedianShiftFamily(beta_range=Interval(-1, 1))
-        result = solve_minimax(
-            model, family, Power(2, 1), THETA3, SolveOptions(seed=5)
-        )
-        (beta,) = result.best_params
-        assert beta == pytest.approx(0.0, abs=0.01)
-        # at the optimum the value is the Monte Carlo median risk itself
-        assert result.minimax_value > 0
+        result = solve_minimax(model, family, Power(2, 1), THETA3)
+        assert result.best_params == (0.0,)
+        assert (result.search_iterations, result.converged, result.breakpoint_gap) == (0, True, 0.0)
+        # at the optimum the value is the exact median risk itself
+        assert result.minimax_value == pytest.approx(quadpack_median_risk(11, 0.0, 2.0), rel=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 4, 5, 101])
+    @pytest.mark.parametrize("lo, hi, beta", [
+        (-1.0, 1.0, 0.0), (0.5, 1.0, 0.5), (-1.0, -0.25, -0.25), (-1.0, -0.0, 0.0),
+    ])
+    def test_optimum_is_the_shift_nearest_zero_from_one_worst_case(
+        self, monkeypatch, n, lo, hi, beta
+    ):
+        # Anderson's lemma: the risk is nondecreasing in |beta| for a
+        # symmetric log-concave law and an even loss nondecreasing in |t|
+        module = importlib.import_module("minmax_lab.minimax")
+        inner, calls = module.worst_case_risk, []
+
+        def counting(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(module, "worst_case_risk", counting)
+        family = MedianShiftFamily(beta_range=Interval(lo, hi))
+        result = solve_minimax(GaussianLocationModel(n=n), family, Power(4, 1), THETA3)
+        assert result.best_params == (beta,) and len(calls) == 1
+        assert math.copysign(1.0, result.best_params[0]) == math.copysign(1.0, beta)
+        assert result.minimax_value == pytest.approx(quadpack_median_risk(n, beta, 4.0), rel=1e-10)
 
 
 class TestRealizability:

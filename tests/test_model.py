@@ -68,13 +68,16 @@ class TestValidation:
 
 class TestErrorLaw:
     def test_unbiased_identity_case(self):
-        assert error_law(GaussianLocationModel(n=1), AffineMean(1, 0), theta=5.0) == (0.0, 1.0)
+        law = error_law(GaussianLocationModel(n=1), AffineMean(1, 0), theta=5.0)
+        assert law == (0.0, 1.0, None)
 
     def test_scale_is_sigma_over_sqrt_n(self):
-        assert error_law(GaussianLocationModel(n=4), AffineMean(1, 0), theta=0.0) == (0.0, 0.5)
+        law = error_law(GaussianLocationModel(n=4), AffineMean(1, 0), theta=0.0)
+        assert law == (0.0, 0.5, None)
 
     def test_biased_affine_case(self):
-        mu, s = error_law(GaussianLocationModel(n=1), AffineMean(0.8, 0.1), theta=2.0)
+        mu, s, weight = error_law(GaussianLocationModel(n=1), AffineMean(0.8, 0.1), theta=2.0)
+        assert weight is None
         # mu = (gamma - 1) * theta + beta
         assert mu == pytest.approx(-0.3, abs=1e-12)
         assert s == pytest.approx(0.8, abs=1e-12)
@@ -84,9 +87,18 @@ class TestErrorLaw:
         laws = {error_law(model, AffineMean(1.0, 0.25), t) for t in (-8.0, 0.0, 3.5)}
         assert len(laws) == 1
 
-    def test_median_has_no_gaussian_law(self):
-        with pytest.raises(QuadratureUnsupportedError):
-            error_law(GaussianLocationModel(n=5), SampleMedian(0.0), theta=1.0)
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_median_law_is_theta_free_and_scaled(self, n):
+        # error = beta + sigma * M, M = sqrt(pi / (2n)) * Y
+        model = GaussianLocationModel(n=n, sigma=2.0)
+        mu, s, weight = error_law(model, SampleMedian(0.25), theta=1.0)
+        assert (mu, s) == (0.25, 2.0 * math.sqrt(math.pi / (2 * n)))
+        assert error_law(model, SampleMedian(0.25), theta=-7.0)[2] is weight
+
+    def test_sign_perturbed_has_no_exact_law(self):
+        est = SignPerturbed(base=SampleMedian(0.0), epsilon=0.1, theta_star=0.0)
+        with pytest.raises(QuadratureUnsupportedError, match="no exact Gaussian error law"):
+            error_law(GaussianLocationModel(n=5), est, theta=1.0)
 
     def test_rejects_callable_rules(self):
         theta = 1.7

@@ -41,6 +41,7 @@ from oracles import (
     closed_form_power_risk,
     fourth_moment,
     quadpack_huber_risk,
+    quadpack_median_risk,
     quadpack_power_risk,
     quadpack_sum_risk,
 )
@@ -90,8 +91,9 @@ class TestQuadratureRisk:
             assert abs(v1 - v2) < 1e-10
 
     def test_empirical_law_unsupported(self):
-        with pytest.raises(QuadratureUnsupportedError):
-            risk(GaussianLocationModel(n=5), SampleMedian(0.0), Power(2, 1), 0.0, Quadrature())
+        est = SignPerturbed(base=SampleMedian(0.0), epsilon=0.1, theta_star=0.5)
+        with pytest.raises(QuadratureUnsupportedError, match="no exact Gaussian error law"):
+            risk(GaussianLocationModel(n=5), est, Power(2, 1), 0.0, Quadrature())
 
     @given(
         mu=st.floats(min_value=-30.0, max_value=30.0),
@@ -216,16 +218,10 @@ class TestWorstCase:
         w = worst_case_risk(M1, AffineMean(0.75, 0), Power(3, 1), THETA3)
         assert abs(w.argmax_theta) == pytest.approx(3.0, abs=1e-5)
 
-    def test_monte_carlo_worst_case_uses_common_draws(self):
+    def test_median_worst_case_is_exact(self):
         model = GaussianLocationModel(n=11)
-        method = MonteCarlo(20_000, seed=4)
-        w1 = worst_case_risk(model, SampleMedian(0.3), Power(2, 1), THETA3, method=method)
-        w2 = worst_case_risk(model, SampleMedian(0.3), Power(2, 1), THETA3, method=method)
-        assert w1 == w2
-
-    def test_median_needs_explicit_method(self):
-        with pytest.raises(QuadratureUnsupportedError):
-            worst_case_risk(GaussianLocationModel(n=5), SampleMedian(0.0), Power(2, 1), THETA3)
+        w = worst_case_risk(model, SampleMedian(0.3), Power(2, 1), THETA3)
+        assert w.sup_value == pytest.approx(quadpack_median_risk(11, 0.3, 2.0), rel=1e-10)
 
 
 class TestSupMethod:
@@ -271,28 +267,23 @@ class TestSupMethod:
 
     def test_median_is_one_evaluation_at_midpoint(self, risk_calls):
         model = GaussianLocationModel(n=5)
-        method = MonteCarlo(2_000, seed=1)
-        w = worst_case_risk(model, SampleMedian(0.2), Power(2, 1), Interval(-1, 3), method=method)
+        w = worst_case_risk(model, SampleMedian(0.2), Power(2, 1), Interval(-1, 3))
         assert risk_calls == [1.0]
         assert (w.sup_method, w.constant_in_theta) == ("constant", True)
         assert w.argmax_theta == 1.0
-        assert w.sup_value == risk(model, SampleMedian(0.2), Power(2, 1), -0.7, method).value
+        assert w.sup_value == risk(model, SampleMedian(0.2), Power(2, 1), -0.7, Quadrature()).value
 
     @pytest.mark.parametrize(
-        "est, method",
+        "est",
         [
-            (SignPerturbed(base=AffineMean(0.9, 0), epsilon=0.1, theta_star=0.5),
-             MonteCarlo(2_000, 1)),
-            (SignPerturbed(base=AffineMean(0.9, 0), epsilon=0.1, theta_star=0.5), Quadrature()),
-            (SignPerturbed(base=SampleMedian(0.0), epsilon=0.1, theta_star=0.5),
-             MonteCarlo(2_000, 1)),
-            (AffineMean(0.8, 0), MonteCarlo(2_000, 1)),
+            SignPerturbed(base=AffineMean(0.9, 0), epsilon=0.1, theta_star=0.5),
+            SignPerturbed(base=SampleMedian(0.0), epsilon=0.1, theta_star=0.5),
         ],
-        ids=["sign_mc", "sign_quadrature", "sign_median_mc", "affine_mc"],
+        ids=["sign_affine", "sign_median"],
     )
-    def test_rule_without_exact_sup_raises_before_any_risk(self, risk_calls, est, method):
+    def test_rule_without_exact_sup_raises_before_any_risk(self, risk_calls, est):
         with pytest.raises(QuadratureUnsupportedError, match="has no exact worst case"):
-            worst_case_risk(M1, est, Power(2, 1), THETA3, method=method)
+            worst_case_risk(M1, est, Power(2, 1), THETA3)
         assert risk_calls == []
 
 
@@ -361,7 +352,7 @@ class TestGoldenSection:
 def _negated_error_risk(model, est, loss, theta):
     """The quadrature risk as the loss of -(error), kinks and roots negated:
     the literal theta - delta that risk() no longer forms."""
-    mu, s = error_law(model, est, theta)
+    mu, s, _ = error_law(model, est, theta)
     kinks, roots = loss_breakpoints(loss)
     return gaussian_expectation(
         lambda t: loss_of_error(loss, -t), mu, s,
