@@ -22,6 +22,7 @@ def median_risk(n, beta, p, sigma=1.0):
     model = GaussianLocationModel(n=n, sigma=sigma)
     return risk(model, SampleMedian(beta), Power(p, 1), 0.0, Quadrature()).value
 
+
 ODD_CASES = [(n, beta, p) for n in (1, 3, 5, 25, 101)
              for beta in (0.0, 0.03, -0.4, 1.0) for p in (1.5, 2.0, 4.0)]
 EVEN_CASES = [(2, 0.03, 2.0), (2, -0.4, 4.0), (4, 0.0, 4.0), (4, -0.4, 2.0),
