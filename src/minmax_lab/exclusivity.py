@@ -3,12 +3,15 @@
 The engine answers with numerical certificates.  For a pair of losses with
 distinct local exponents p < q (both > 1), it solves the family minimax
 problem for the p-loss and walks downhill for the q-loss in the family's
-free coordinate x, along the profile the solver searched.  No kink of the
-worst case lies across it, so `gradient_q`, a difference quotient in x, is
-a true slope, and `direction` is the sign of the step in x.  The steps
-alpha halve five times from 2|slope| / R_q'' (at most 0.1), where the
-local quadratic of the q-risk stops descending; R_q'' is the second
-difference of the three q-risks the slope took:
+free coordinate x, along the profile the solver searched.  One slope pass
+of the q-loss at x gives its worst case, `gradient_q` and R_q'' exactly
+(Stein's identity, risk.worst_case_slopes): the steepest-descent slope,
+one-sided at a face or a kink of the profile, and `direction` is the sign
+of the step in x.  `gradient_p_norm` is the same slope of the p-loss, from
+the p-solve's last pass.  The median family and gamma = 0 (s = 0) take
+difference quotients with h = 1e-4 instead.  The steps alpha halve five
+times from 2|slope| / R_q'' (at most 0.1), where the local quadratic of the
+q-risk stops descending:
 
   * a strictly negative q-risk change at some step alpha, with the p-risk
     degrading only quadratically (fitted slope of |delta R_p| vs alpha near
@@ -44,12 +47,13 @@ from .minimax import (
     FamilySpec,
     MinimaxResult,
     SolveOptions,
+    profile_slopes,
     solve_minimax,
     worst_case_on_profile,
 )
 from .quadrature import gaussian_expectation
 # the benchmark's tracer also patches worst_case_risk under this module
-from .risk import Quadrature, risk, worst_case_risk
+from .risk import Quadrature, WorstCaseSlopes, risk, worst_case_risk
 
 
 class Verdict(enum.Enum):
@@ -69,7 +73,7 @@ class LadderPoint:
 
 @dataclass(frozen=True)
 class RefutationCertificate:
-    SCHEMA: ClassVar[str] = "minmax-lab/refutation-certificate/v2"
+    SCHEMA: ClassVar[str] = "minmax-lab/refutation-certificate/v3"
 
     p: float
     q: float
@@ -121,6 +125,7 @@ def refute_joint_minimaxity(
     theta_interval: Interval,
     opts: Optional[SolveOptions] = None,
     p_solution: Optional[MinimaxResult] = None,
+    q_solution: Optional[MinimaxResult] = None,
 ) -> RefutationCertificate:
     """Certificate that the loss_p family optimum is (or is not) improvable
     for loss_q.
@@ -130,6 +135,8 @@ def refute_joint_minimaxity(
     leaves a class.  `p_solution`, when given, must be the
     result of solve_minimax for loss_p with the same model, family, interval
     and `opts`; it is used instead of solving that problem again.
+    `q_solution`, likewise for loss_q, lends its optimum's worst case and
+    last slope pass wherever the certificate evaluates loss_q there.
     """
     cls_p = classify_exponent(loss_p)
     cls_q = classify_exponent(loss_q)
@@ -149,17 +156,23 @@ def refute_joint_minimaxity(
     x = mm.best_params[0]
     box = family.bounds[0]
 
-    def worst(loss: LossSpec, at: float) -> float:
+    def worst(loss: LossSpec, solution: Optional[MinimaxResult], at: float) -> float:
+        # a rung may land on the optimum of its loss's own solve (the second
+        # rung does, for a quadratic q-risk): that value is known
+        if solution is not None and at == solution.best_params[0]:
+            return solution.minimax_value
         return worst_case_on_profile(model, family, at, loss, theta_interval).sup_value
 
-    # difference quotients: central in the interior, one-sided at a face,
-    # where x is one end of the quotient and its risks are rp0 and rq0
-    lo, hi = max(x - 1e-4, box.lo), min(x + 1e-4, box.hi)
-    rp0 = mm.minimax_value
-    rq0 = worst(loss_q, x)
-    rq_lo = rq0 if lo == x else worst(loss_q, lo)
-    rq_hi = rq0 if hi == x else worst(loss_q, hi)
-    g = (rq_hi - rq_lo) / (hi - lo)
+    # one slope pass per loss at x: each solve's own last pass where its
+    # optimum is x, which it always is for p
+    at_p = mm.slope_pass or profile_slopes(model, family, x, loss_p, theta_interval,
+                                           at_x=mm.worst_case)
+    if q_solution is not None and q_solution.slope_pass and q_solution.best_params[0] == x:
+        at_q = q_solution.slope_pass
+    else:
+        at_q = profile_slopes(model, family, x, loss_q, theta_interval)
+    rp0, rq0 = mm.minimax_value, at_q.worst_case.sup_value
+    g = _descent_slope(at_q, x, box)
     step = -math.copysign(1.0, g)
     # KKT on an interval: the q-slope is flat relative to the q-risk, or its
     # descent step would leave the range through the face x sits on
@@ -169,18 +182,17 @@ def refute_joint_minimaxity(
     # The local quadratic in the step, R_q - |g| a + R_q'' a^2 / 2, descends
     # for a < 2|g| / R_q'', so the ladder starts there (at most at 0.1).  Its
     # first rung sits on that boundary and the next four descend: the four
-    # the Taylor fit takes.  R_q'' is the second difference of the quotient's
-    # points; at a face (x = lo or hi) there is none, and without a positive
-    # one the ladder starts at 0.1.
-    curv = (2.0 * ((rq_hi - rq0) / (hi - x) - (rq0 - rq_lo) / (x - lo)) / (hi - lo)
-            if lo < x < hi else 0.0)
+    # the Taylor fit takes.  R_q'' is the one-sided curvature on the side of
+    # the step; without a positive one the ladder starts at 0.1.
+    curv = at_q.curvatures[1 if step > 0 else 0]
     alpha0 = min(0.1, 2.0 * abs(g) / curv) if curv > 0.0 else 0.1
     ladder = []
     for k in range(0 if stationary else 5):
         alpha = alpha0 / 2.0**k
         x_k = x + alpha * step
         if box.contains(x_k):
-            ladder.append(LadderPoint(alpha, worst(loss_p, x_k) - rp0, worst(loss_q, x_k) - rq0))
+            ladder.append(LadderPoint(alpha, worst(loss_p, mm, x_k) - rp0,
+                                      worst(loss_q, q_solution, x_k) - rq0))
 
     successes = [pt for pt in ladder if pt.delta_Rq < 0.0]
     fit_pts = [pt for pt in successes if pt.delta_Rp != 0.0]
@@ -199,14 +211,12 @@ def refute_joint_minimaxity(
         verdict = Verdict.NO_DESCENT_IN_FAMILY
 
     head = max(successes, key=lambda pt: pt.alpha) if successes else None
-    rp_hi = rp0 if hi == x else worst(loss_p, hi)
-    rp_lo = rp0 if lo == x else worst(loss_p, lo)
     return RefutationCertificate(
         p=cls_p.p_hat,
         q=cls_q.p_hat,
         delta_star_params=tuple(float(v) for v in mm.best_params),
         gradient_q=(g,),
-        gradient_p_norm=abs(rp_hi - rp_lo) / (hi - lo),
+        gradient_p_norm=abs(_descent_slope(at_p, x, box)),
         direction=(0.0 if stationary else step,),
         alpha=head.alpha if head else None,
         delta_Rq=head.delta_Rq if head else None,
@@ -215,6 +225,18 @@ def refute_joint_minimaxity(
         verdict=verdict,
         ladder=tuple(ladder),
     )
+
+
+def _descent_slope(at: WorstCaseSlopes, x: float, box: Interval) -> float:
+    """The slope at x that steepest descent sees: the inward one-sided slope
+    at a face; inside, the one-sided slope that descends, or 0.0 where
+    neither does (a kink that minimizes the profile)."""
+    left, right = at.slopes
+    if x == box.lo:
+        return right
+    if x == box.hi:
+        return left
+    return right if right < 0.0 else left if left > 0.0 else 0.0
 
 
 def _check_shift(alpha: float, n: int, q: float) -> float:
@@ -329,7 +351,7 @@ def check_exclusivity_partition(
     witnesses = tuple(
         refute_joint_minimaxity(
             model, family, losses[i], losses[j], theta_interval, opts,
-            p_solution=results[i],
+            p_solution=results[i], q_solution=results[j],
         )
         for i in range(len(losses))
         for j in range(i + 1, len(losses))

@@ -10,28 +10,32 @@ the median's error law is symmetric and log-concave, so by the same lemma
 the worst case of median(X) + beta is nondecreasing in |beta|, and the
 optimum is the beta of the range closest to 0, from one worst case.
 
-The affine search is a port of scipy's bounded Brent method (Brent 1973,
-`minimize_scalar(method="bounded")`), bit-identical to it: the same points
-are evaluated in the same order, and it imports nothing beyond `math`, so
-a command starts without loading scipy.  It keeps the name
-`scipy_minimize` only because the benchmark's tracer patches that name.
-It stops within 1e-5 of the minimum, so its point is compared with the
-family's breakpoints (range ends and kinks of the profile), and the
-smallest value wins: an optimum on a box face or at a kink comes out
-exactly.  Results are family-relative: a minimizer over the given
-parameter box, not a claim about all measurable decision rules.
+The affine search works on exact slopes.  Along the profile, the error's
+scale |gamma| sigma/sqrt(n) and its largest |mean| over the theta interval
+are affine in gamma between the family's breakpoints (the range ends,
+gamma = 0 and 1, and the two clip points of beta*), so one
+`risk.worst_case_slopes` pass gives the worst case with its one-sided
+slopes and curvatures in gamma.  For a convex loss the profile is convex:
+E L(mu + s Z) is jointly convex in (mu, s), and minimizing over beta keeps
+that.  The search bisects over the breakpoints for the piece where the
+slope changes sign, so an optimum on a box face or at a kink comes out
+exactly, then runs a safeguarded Newton-bisection on that piece (rtsafe;
+Press et al., *Numerical Recipes*, section 9.4).  A nonconvex loss (power
+p < 1) gets the same bracketing, to a point where the slope changes sign.
+Results are family-relative: a minimizer over the given parameter box,
+not a claim about all measurable decision rules.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, ClassVar, NamedTuple, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Callable, ClassVar, Dict, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .losses import LossSpec
 from .model import AffineMean, EstimatorSpec, GaussianLocationModel, Interval, SampleMedian
-from .risk import WorstCaseResult, worst_case_risk
+from .risk import WorstCaseResult, WorstCaseSlopes, worst_case_risk, worst_case_slopes
 
 
 @dataclass(frozen=True)
@@ -59,15 +63,40 @@ class AffineMeanFamily:
         return (gamma, beta + 0.0)
 
     def breakpoints(self, theta_interval: Interval) -> Tuple[float, ...]:
-        """The gammas where the profiled worst case may have a kink: the
-        ends of the range, the two where (1 - gamma) * mid meets an end of
-        the beta range, and gamma = 1, where the worst-case end of the theta
-        interval switches under a clipped beta."""
+        """The gammas where the profiled worst case may have a kink, sorted:
+        the ends of the range, gamma = 0, where s = |gamma| sigma/sqrt(n)
+        has one, gamma = 1, where |mu| at the ends of the theta interval
+        has one, and the two where (1 - gamma) * mid meets an end of the
+        beta range."""
         mid = theta_interval.midpoint
-        points = [self.gamma_range.lo, self.gamma_range.hi, 1.0]
+        points = [self.gamma_range.lo, self.gamma_range.hi, 0.0, 1.0]
         if mid != 0.0:
             points += [1.0 - self.beta_range.lo / mid, 1.0 - self.beta_range.hi / mid]
-        return tuple(g for g in points if self.gamma_range.contains(g))
+        return tuple(sorted({g for g in points if self.gamma_range.contains(g)}))
+
+    def abs_mu_slopes(self, gamma: float, theta_interval: Interval) -> Tuple[float, float]:
+        """One-sided slopes (left, right) in gamma of max |mu| over the theta
+        interval along the profile: |c| + |gamma - 1| * hw, where c, mu at
+        the midpoint, is 0 where beta* is unclipped and has slope mid and
+        the sign of the clipped end's side (+ at the low end) where it is
+        clipped.  The sides are decided against the clip points of
+        `breakpoints`, so a breakpoint gets two different slopes."""
+        mid = theta_interval.midpoint
+        hw = theta_interval.hi - mid
+        k = math.copysign(1.0, mid)
+        # with mid = 0, beta* is constant: no clip point on either side
+        clip_lo, clip_hi = ((1.0 - self.beta_range.lo / mid, 1.0 - self.beta_range.hi / mid)
+                            if mid != 0.0 else (math.inf, -math.inf))
+        slopes = []
+        for side in (-1.0, 1.0):  # the derivative along gamma + side * h
+            d_abs = hw if gamma == 1.0 else side * math.copysign(hw, gamma - 1.0)
+            d_c = 0.0
+            if k * (gamma - clip_lo) > 0.0 or (gamma == clip_lo and k * side > 0.0):
+                d_c = side * mid
+            elif k * (clip_hi - gamma) > 0.0 or (gamma == clip_hi and k * side < 0.0):
+                d_c = -side * mid
+            slopes.append(side * (d_c + d_abs))
+        return (slopes[0], slopes[1])
 
 
 @dataclass(frozen=True)
@@ -104,133 +133,103 @@ class SolveOptions:
 
 @dataclass(frozen=True)
 class MinimaxResult:
-    SCHEMA: ClassVar[str] = "minmax-lab/minimax-result/v5"
+    """The family optimum.  `slope_pass` is the worst case at the optimum
+    with its one-sided slopes and curvatures in the free coordinate (None
+    for the median family's closed form); certificates reuse it, and it is
+    kept out of the JSON document."""
+
+    SCHEMA: ClassVar[str] = "minmax-lab/minimax-result/v6"
 
     best_params: Tuple[float, ...]
     minimax_value: float
     worst_case: WorstCaseResult
     search_iterations: int
     converged: bool
-    breakpoint_gap: float
+    slope_pass: Optional[WorstCaseSlopes] = field(default=None, metadata={"json": False})
 
 
 class BoundedSearch(NamedTuple):
-    """Point and value `scipy_minimize` stopped at, with its counts."""
+    """Point and value `scipy_minimize` stopped at, its count of slope
+    passes (as both nit and nfev) and the pass at that point."""
 
     x: float
     fun: float
     nit: int
     nfev: int
     success: bool
+    slope_pass: WorstCaseSlopes
 
 
-# scipy_minimize is a port of _minimize_scalar_bounded in scipy 1.17.1
-# (scipy/optimize/_optimize.py), under its licence:
-#
-# Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
-# All rights reserved.
-#
-# Redistribution and use in source and binary forms, with or without
-# modification, are permitted provided that the following conditions
-# are met:
-#
-# 1. Redistributions of source code must retain the above copyright
-#    notice, this list of conditions and the following disclaimer.
-#
-# 2. Redistributions in binary form must reproduce the above
-#    copyright notice, this list of conditions and the following
-#    disclaimer in the documentation and/or other materials provided
-#    with the distribution.
-#
-# 3. Neither the name of the copyright holder nor the names of its
-#    contributors may be used to endorse or promote products derived
-#    from this software without specific prior written permission.
-#
-# THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS
-# "AS IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT
-# LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR
-# A PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT
-# OWNER OR CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL,
-# SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT
-# LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE,
-# DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY
-# THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
-# (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
-# OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
+#: Relative step (and bracket) below which the search stops.
+_XTOL = 1e-12
+
+
+# ROADMAP item 1 renames this search; the benchmark's tracer patches the name.
 def scipy_minimize(
-    fun: Callable[[float], float], lo: float, hi: float, maxiter: int
+    slopes_at: Callable[[float], WorstCaseSlopes], breakpoints: Sequence[float], maxiter: int
 ) -> BoundedSearch:
-    """Minimize fun on [lo, hi] by Brent's bounded method, as scipy does
-    with xatol = 1e-5.
+    """Minimize a profile that is smooth between the sorted `breakpoints`
+    (the first and last are its range ends) in at most `maxiter` passes.
 
-    The caller guarantees finite lo < hi and a finite fun, so scipy's
-    bounds checks and NaN status are left out.  The search stops when the
-    bracket around the best point is within about xatol, or unsuccessfully
-    after maxiter evaluations.
+    Bisection over the breakpoints finds the piece where the slope changes
+    sign; a breakpoint whose one-sided slopes bracket 0 is the optimum (at
+    a range end only the inward slope counts: the KKT face test).  On the
+    piece, Newton steps on slope and curvature are safeguarded as in rtsafe:
+    a step that leaves the bracket, or is not half the step before last,
+    tries the unevaluated range end it heads for, else bisects.  It stops
+    converged when the step or bracket is below 1e-12 * max(1, |x|), else
+    at the cap with the best point evaluated.
     """
-    xatol = 1e-5
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    lo, hi = breakpoints[0], breakpoints[-1]
+    done: Dict[float, WorstCaseSlopes] = {}
+
+    def stop(x: float, success: bool) -> BoundedSearch:
+        if not success:
+            x = min(done, key=lambda c: done[c].worst_case.sup_value)
+        at = done[x]
+        return BoundedSearch(x, at.worst_case.sup_value, len(done), len(done), success, at)
+
+    def optimal(x: float) -> bool:
+        # 0 lies between the one-sided slopes, or within a Newton step of
+        # tolerance of one; at a range end only the inward slope counts
+        (left, right), (h_left, h_right) = done[x].slopes, done[x].curvatures
+        tol = _XTOL * max(1.0, abs(x))
+        return ((x == lo or left <= tol * max(h_left, 0.0))
+                and (x == hi or right >= -tol * max(h_right, 0.0)))
+
+    # [a, b] brackets the optimum; Newton steps start from its evaluated end
+    # with the smaller worst case
     a, b = lo, hi
-    # xf is the best point so far, nfc the second best, fulc the previous nfc
-    xf = nfc = fulc = a + golden_mean * (b - a)
-    fx = fun(xf)
-    fnfc = ffulc = fx
-    num = 1
-    rat = e = 0.0
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    success = True
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:  # try a parabola through the three best points
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                golden = False
-                rat = p / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = tol1 if xm >= xf else -tol1
-        if golden:
-            e = (a if xf >= xm else b) - xf
-            rat = golden_mean * e
-        step = max(abs(rat), tol1)
-        x = xf + step if rat >= 0 else xf - step
-        fu = fun(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
+    dx = dx_old = hi - lo
+    while True:
+        inside = [c for c in breakpoints if a < c < b]
+        ends = [c for c in (a, b) if c in done]
+        if inside:
+            t = inside[(len(inside) - 1) // 2]
+        elif not ends:
+            t = b
         else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= maxiter:
-            success = False
-            break
-    return BoundedSearch(x=xf, fun=fx, nit=num, nfev=num, success=success)
+            x = min(ends, key=lambda c: done[c].worst_case.sup_value)
+            side = 1 if x == a else 0  # the one-sided slope into the bracket
+            g, h = done[x].slopes[side], done[x].curvatures[side]
+            step = g / h if h > 0.0 else math.nan
+            tol = _XTOL * max(1.0, abs(x))
+            if abs(step) <= tol or b - a <= tol:
+                return stop(x, True)
+            t = x - step
+            if not a < t < b or abs(step) > 0.5 * abs(dx_old):
+                end = b if g < 0.0 else a
+                t = end if end not in done else 0.5 * (a + b)
+            dx_old, dx = dx, x - t
+        if len(done) >= maxiter:
+            return stop(t, False)
+        done[t] = slopes_at(t)
+        if optimal(t):
+            return stop(t, True)
+        if done[t].slopes[1] < 0.0:
+            a = t
+        else:
+            b = t
 
 
 def worst_case_on_profile(
@@ -242,6 +241,39 @@ def worst_case_on_profile(
     return worst_case_risk(model, family.make(params), loss, theta_interval)
 
 
+def profile_slopes(
+    model: GaussianLocationModel, family: FamilySpec, x: float, loss: LossSpec,
+    theta_interval: Interval, at_x: Optional[WorstCaseResult] = None,
+) -> WorstCaseSlopes:
+    """worst_case_on_profile(x) with its one-sided slopes and curvatures in x.
+
+    An affine rule with gamma != 0 takes them from one Stein pass
+    (`worst_case_slopes`).  The median family, whose error is not Gaussian,
+    and gamma = 0, where s = 0, take difference quotients with h = 1e-4
+    instead: one-sided on each side (the inward one on both at a face), and
+    the second difference as curvature inside the range, 0 (none) at a
+    face.  `at_x`, when given, is the worst case at x, which the quotients
+    then do not evaluate again.
+    """
+    if isinstance(family, AffineMeanFamily) and x != 0.0:
+        est = family.make(family.profile(x, theta_interval))
+        return worst_case_slopes(model, est, loss, theta_interval,
+                                 family.abs_mu_slopes(x, theta_interval))
+
+    def worst(at: float) -> float:
+        return worst_case_on_profile(model, family, at, loss, theta_interval).sup_value
+
+    if at_x is None:
+        at_x = worst_case_on_profile(model, family, x, loss, theta_interval)
+    box, r0 = family.bounds[0], at_x.sup_value
+    lo, hi = max(x - 1e-4, box.lo), min(x + 1e-4, box.hi)
+    left = (r0 - worst(lo)) / (x - lo) if lo < x else None
+    right = (worst(hi) - r0) / (hi - x) if x < hi else left
+    left = right if left is None else left
+    curv = 2.0 * (right - left) / (hi - lo) if lo < x < hi else 0.0
+    return WorstCaseSlopes(at_x, (left, right), (curv, curv))
+
+
 def solve_minimax(
     model: GaussianLocationModel,
     family: FamilySpec,
@@ -251,41 +283,31 @@ def solve_minimax(
 ) -> MinimaxResult:
     """Minimize sup_theta risk over the family's free coordinate.
 
-    `search_iterations` is the search's iteration count and `converged` its
-    success flag; a False flag still returns the best point found.
-    `breakpoint_gap` is the distance from the search point to the
-    returned one, nonzero only when a breakpoint won.  A median family
-    takes its closed-form optimum: no search, 0 iterations, converged.
+    `search_iterations` counts the search's slope passes, and `converged`
+    says it stopped at an optimum rather than at the `maxiter` cap; an
+    unconverged solve still returns the best point it evaluated.  A median
+    family takes its closed-form optimum: no search, 0 iterations,
+    converged.
     """
     if opts is None:
         opts = SolveOptions()
-    box = family.bounds[0]
     if isinstance(family, MedianShiftFamily):
+        box = family.bounds[0]
         # never -0.0: max and min keep their first argument on a tie
         x = min(max(0.0, box.lo), box.hi)
         inner = worst_case_on_profile(model, family, x, loss, theta_interval)
         return MinimaxResult(best_params=(x,), minimax_value=inner.sup_value,
-                             worst_case=inner, search_iterations=0, converged=True,
-                             breakpoint_gap=0.0)
-    # cached by x: the breakpoint comparison below starts with the search's
-    # own point, which the search has already evaluated
-    worst_at = functools.lru_cache(maxsize=None)(functools.partial(
-        worst_case_on_profile, model, family, loss=loss, theta_interval=theta_interval,
-    ))
-    search = scipy_minimize(lambda x: worst_at(x).sup_value, box.lo, box.hi, opts.maxiter)
-    x_search = search.x
-    # Near a kink the search stops up to xatol away; the breakpoints hold
-    # the kinks exactly.  min keeps the first of equal values, so the
-    # search point wins ties.
-    inner, x = min(
-        ((worst_at(c), c) for c in (x_search, *family.breakpoints(theta_interval))),
-        key=lambda pair: pair[0].sup_value,
+                             worst_case=inner, search_iterations=0, converged=True)
+    search = scipy_minimize(
+        functools.partial(profile_slopes, model, family, loss=loss,
+                          theta_interval=theta_interval),
+        family.breakpoints(theta_interval), opts.maxiter,
     )
     return MinimaxResult(
-        best_params=tuple(float(v) for v in family.profile(x, theta_interval)),
-        minimax_value=inner.sup_value,
-        worst_case=inner,
+        best_params=tuple(float(v) for v in family.profile(search.x, theta_interval)),
+        minimax_value=search.fun,
+        worst_case=search.slope_pass.worst_case,
         search_iterations=int(search.nit),
         converged=bool(search.success),
-        breakpoint_gap=abs(x_search - x),
+        slope_pass=search.slope_pass,
     )

@@ -27,6 +27,10 @@ evaluates one quadrature risk, and records which sup method it used
 SignPerturbed rules have neither structure, so worst_case_risk raises
 QuadratureUnsupportedError for them before evaluating any risk.  Their
 pointwise risk is still available from `risk`.
+
+`worst_case_slopes` is the same worst case of an affine rule together with
+its one-sided slopes and curvatures along a path in gamma, from the
+Hermite moments of the same quadrature pass (Stein's identity).
 """
 
 from __future__ import annotations
@@ -97,10 +101,28 @@ class WorstCaseResult:
         object.__setattr__(self, "constant_in_theta", self.sup_method == "constant")
 
 
-def _checked(value: float, context: str) -> float:
+def _checked(value: float, context: str, what: str = "risk") -> float:
     if not math.isfinite(value):
-        raise NonFiniteRiskError(f"risk is not finite ({value!r}) for {context}")
+        raise NonFiniteRiskError(f"{what} is not finite ({value!r}) for {context}")
     return float(value)
+
+
+def _expected_loss(model, est, loss, theta, hermite=False):
+    """The quadrature risk at theta: one `gaussian_expectation` pass, with
+    its Hermite moments when `hermite` is set (an affine rule only)."""
+    mu, s, weight = error_law(model, est, theta)
+    kinks, roots = loss_breakpoints(loss)
+    # the loss argument is theta - delta = -(error), but every loss spec
+    # is even bit for bit (|-t| = |t|, (-t)*(-t) = t*t) and its
+    # breakpoints are symmetric, so the error goes in unnegated here and
+    # in the Monte Carlo branch of `risk`;
+    # tests/test_losses.py::test_loss_of_error_is_even_bit_for_bit pins it
+    if weight is None:
+        integrand = functools.partial(loss_of_error, loss)
+    else:
+        def integrand(t):
+            return loss_of_error(loss, t) * weight((t - mu) / s)
+    return gaussian_expectation(integrand, mu, s, kinks=kinks, roots=roots, hermite=hermite)
 
 
 def risk(
@@ -118,19 +140,7 @@ def risk(
     """
     theta = _require_finite("theta", theta)
     if isinstance(method, Quadrature):
-        mu, s, weight = error_law(model, est, theta)
-        kinks, roots = loss_breakpoints(loss)
-        # the loss argument is theta - delta = -(error), but every loss spec
-        # is even bit for bit (|-t| = |t|, (-t)*(-t) = t*t) and its
-        # breakpoints are symmetric, so the error goes in unnegated here and
-        # in the Monte Carlo branch below;
-        # tests/test_losses.py::test_loss_of_error_is_even_bit_for_bit pins it
-        if weight is None:
-            integrand = functools.partial(loss_of_error, loss)
-        else:
-            def integrand(t):
-                return loss_of_error(loss, t) * weight((t - mu) / s)
-        value = gaussian_expectation(integrand, mu, s, kinks=kinks, roots=roots)
+        value = _expected_loss(model, est, loss, theta)
         return RiskEstimate(_checked(value, f"theta={theta}"))
     errs = error_draws(model, est, theta, method.samples, method.seed)
     losses = loss_of_error(loss, errs)
@@ -204,6 +214,25 @@ def golden_section_max(
     return (c, yc) if yc > yd else (d, yd)
 
 
+def _sup_theta(
+    model: GaussianLocationModel, est: EstimatorSpec, theta_interval: Interval
+) -> Tuple[float, str]:
+    """The theta where the risk of est attains its sup over theta_interval,
+    and the sup method (see the module docstring)."""
+    check_estimator(est)
+    if isinstance(est, SampleMedian) or (isinstance(est, AffineMean) and est.gamma == 1.0):
+        return theta_interval.midpoint, "constant"
+    if isinstance(est, AffineMean):
+        lo, hi = theta_interval.lo, theta_interval.hi
+        # the risk is nondecreasing in |mu(theta)|; ties go to lo
+        mu_lo, mu_hi = error_law(model, est, lo)[0], error_law(model, est, hi)[0]
+        return (hi if abs(mu_hi) > abs(mu_lo) else lo), "endpoints"
+    raise QuadratureUnsupportedError(
+        f"{type(est).__name__} has no exact worst case: only theta-free "
+        "rules and affine rules have one"
+    )
+
+
 def worst_case_risk(
     model: GaussianLocationModel,
     est: EstimatorSpec,
@@ -216,17 +245,52 @@ def worst_case_risk(
     A SignPerturbed rule has no such structure and raises
     QuadratureUnsupportedError.
     """
-    check_estimator(est)
-    if isinstance(est, SampleMedian) or (isinstance(est, AffineMean) and est.gamma == 1.0):
-        theta, sup_method = theta_interval.midpoint, "constant"
-    elif isinstance(est, AffineMean):
-        lo, hi = theta_interval.lo, theta_interval.hi
-        # the risk is nondecreasing in |mu(theta)|; ties go to lo
-        mu_lo, mu_hi = error_law(model, est, lo)[0], error_law(model, est, hi)[0]
-        theta, sup_method = (hi if abs(mu_hi) > abs(mu_lo) else lo), "endpoints"
-    else:
-        raise QuadratureUnsupportedError(
-            f"{type(est).__name__} has no exact worst case: only theta-free "
-            "rules and affine rules have one"
-        )
+    theta, sup_method = _sup_theta(model, est, theta_interval)
     return WorstCaseResult(risk(model, est, loss, theta, Quadrature()).value, theta, sup_method)
+
+
+@dataclass(frozen=True)
+class WorstCaseSlopes:
+    """A worst case with its one-sided slopes and curvatures, each as
+    (left, right), along a path of rules."""
+
+    worst_case: WorstCaseResult
+    slopes: Tuple[float, float]
+    curvatures: Tuple[float, float]
+
+
+def worst_case_slopes(
+    model: GaussianLocationModel,
+    est: AffineMean,
+    loss: LossSpec,
+    theta_interval: Interval,
+    a_slopes: Tuple[float, float],
+) -> WorstCaseSlopes:
+    """worst_case_risk of an affine rule with gamma != 0, with its one-sided
+    slopes and curvatures along a path on which gamma moves at unit speed.
+
+    The worst case is R(a, s) = E L(a + s*Z) at a = max |mu| over the
+    interval, s = |gamma| sigma/sqrt(n).  Both are affine on each side of
+    the rule: `a_slopes` gives a's slopes (left, right), and s has slope
+    sign(gamma) sigma/sqrt(n).  The chain rule takes the partials from the
+    Hermite moments m_k = E[L He_k(Z)] of the one pass (Stein's identity):
+    R_mu = m_1/s, R_s = m_2/s, R_mumu = m_2/s^2, R_mus = m_3/s^2 and
+    R_ss = (m_2 + m_4)/s^2, with R_a = sign(mu) R_mu (0 at mu = 0, where R
+    is even in mu).  A non-finite value, slope or curvature is a
+    NonFiniteRiskError.
+    """
+    if not isinstance(est, AffineMean) or est.gamma == 0.0:
+        raise ValueError(f"slopes need an affine rule with gamma != 0, got {est!r}")
+    theta, sup_method = _sup_theta(model, est, theta_interval)
+    mu, s, _ = error_law(model, est, theta)
+    value, (m1, m2, m3, m4) = _expected_loss(model, est, loss, theta, hermite=True)
+    value = _checked(value, f"theta={theta}")
+    sign = 0.0 if mu == 0.0 else math.copysign(1.0, mu)
+    r_a, r_s = sign * m1 / s, m2 / s
+    r_aa, r_as, r_ss = m2 / s / s, sign * m3 / s / s, (m2 + m4) / s / s
+    ds = math.copysign(model.mean_sd, est.gamma)
+    slopes = tuple(r_a * da + r_s * ds for da in a_slopes)
+    curvatures = tuple(r_aa * da * da + 2.0 * r_as * da * ds + r_ss * ds * ds for da in a_slopes)
+    for v in slopes + curvatures:
+        _checked(v, f"theta={theta}", "risk derivative")
+    return WorstCaseSlopes(WorstCaseResult(value, theta, sup_method), slopes, curvatures)

@@ -11,7 +11,6 @@ import math
 
 import numpy as np
 from scipy import integrate
-from scipy.optimize import minimize_scalar
 from scipy.special import gamma as gamma_fn
 from scipy.special import gammaln, ndtr
 from scipy.special import hyp1f1
@@ -67,6 +66,24 @@ def quadpack_huber_risk(mu: float, s: float, k: float) -> float:
     value, _ = integrate.quad(integrand, -15, 15, points=points or None, limit=300,
                               epsabs=1e-13, epsrel=1e-13)
     return value
+
+
+def quadpack_risk_gradient(mu: float, s: float, loss_slope, kinks=()) -> tuple:
+    """(R_mu, R_s) of R(mu, s) = E L(mu + s*Z), by QUADPACK on the loss
+    slope L' (differentiation under the integral): R_mu = E L'(mu + s*Z) and
+    R_s = E[L'(mu + s*Z) Z].  `kinks` are the points t where L' is not
+    smooth; the integral is split there."""
+    points = sorted(z for z in ((t - mu) / s for t in kinks) if abs(z) < BREAK_Z) or None
+
+    def integrate_z(weight):
+        def integrand(z):
+            return loss_slope(mu + s * z) * weight(z) * math.exp(-0.5 * z * z)
+
+        value, _ = integrate.quad(integrand, -15, 15, points=points, limit=300,
+                                  epsabs=1e-15, epsrel=1e-12)
+        return value / math.sqrt(2 * math.pi)
+
+    return integrate_z(lambda z: 1.0), integrate_z(lambda z: z)
 
 
 def quadpack_sum_risk(mu: float, s: float, terms) -> float:
@@ -166,17 +183,3 @@ def scan_min(f, lo: float, hi: float, coarse: int = 40001, fine: int = 40001):
     ys2 = np.array([f(x) for x in xs2])
     j = int(np.argmin(ys2))
     return float(xs2[j]), float(ys2[j])
-
-
-def scipy_bounded_search(f, lo: float, hi: float, maxiter: int):
-    """scipy's own bounded Brent search of f on [lo, hi] with xatol 1e-5:
-    its result and the list of points it evaluated, in order."""
-    xs = []
-
-    def recorded(x):
-        xs.append(float(x))
-        return f(float(x))
-
-    result = minimize_scalar(recorded, bounds=(lo, hi), method="bounded",
-                             options={"xatol": 1e-5, "maxiter": maxiter})
-    return result, xs

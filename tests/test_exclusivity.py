@@ -17,7 +17,7 @@ from minmax_lab.exclusivity import (
     refute_joint_minimaxity,
 )
 from minmax_lab.losses import Power, Scaled, scale_loss
-from minmax_lab.minimax import AffineMeanFamily, MedianShiftFamily, SolveOptions
+from minmax_lab.minimax import AffineMeanFamily, MedianShiftFamily, SolveOptions, solve_minimax
 from minmax_lab.model import AffineMean, GaussianLocationModel, Interval, SignPerturbed
 from minmax_lab.risk import MonteCarlo, risk
 
@@ -29,6 +29,24 @@ THETA_WIDE = Interval(-50, 50)
 FAMILY = AffineMeanFamily(gamma_range=Interval(0, 1.5), beta_range=Interval(-1, 1))
 
 OPTS = SolveOptions()
+
+
+def record_evaluations(monkeypatch):
+    """(loss, x) of every slope pass and profile worst case the minimax and
+    exclusivity modules make, in order, as a list that fills while the
+    test runs."""
+    seen = []
+    for module_name in ("minmax_lab.minimax", "minmax_lab.exclusivity"):
+        module = importlib.import_module(module_name)
+        for name in ("profile_slopes", "worst_case_on_profile"):
+            inner = getattr(module, name)
+
+            def recording(model, family, x, loss, *args, inner=inner, **kwargs):
+                seen.append((loss, x))
+                return inner(model, family, x, loss, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, recording)
+    return seen
 
 
 def dR4_dgamma(g, m=3.0):
@@ -78,47 +96,34 @@ class TestRefutation:
         assert alphas == sorted(alphas, reverse=True)
 
     def test_refutation_reuses_its_q_risks(self, monkeypatch):
-        # three q-risks give the slope, the curvature and the stationarity
-        # test; then two worst cases per rung of five and two for the p-slope
-        module = importlib.import_module("minmax_lab.exclusivity")
-        p_solution = module.solve_minimax(M1, FAMILY, Power(2, 1), THETA3)
-        inner, calls = module.worst_case_on_profile, []
-
-        def counting(*args):
-            calls.append(args)
-            return inner(*args)
-
-        monkeypatch.setattr(module, "worst_case_on_profile", counting)
+        # one q slope pass gives the slope, the curvature and the stationarity
+        # test, the p-slope comes with the solve; then two worst cases per
+        # rung of five
+        p_solution = solve_minimax(M1, FAMILY, Power(2, 1), THETA3)
+        seen = record_evaluations(monkeypatch)
         cert = refute_joint_minimaxity(
             M1, FAMILY, Power(2, 1), Power(4, 1), THETA3, p_solution=p_solution
         )
         assert cert.verdict is Verdict.REFUTED and len(cert.ladder) == 5
-        assert len(calls) == 15
+        assert len(seen) == len(set(seen)) == 11
+        assert seen[0] == (Power(4, 1), p_solution.best_params[0])
 
-    @pytest.mark.parametrize("gamma_hi, calls", [(0.85, 3), (0.9, 13)])
+    @pytest.mark.parametrize("gamma_hi, calls", [(0.85, 1), (0.9, 11)])
     def test_face_point_is_evaluated_once_per_loss(self, monkeypatch, gamma_hi, calls):
-        # at a face x is one end of the one-sided quotient: its q-risk is
-        # rq0 and its p-risk the solve's minimax value, so no (loss, point)
-        # is evaluated twice; the ladder adds two per rung at 0.9
-        module = importlib.import_module("minmax_lab.exclusivity")
+        # at a face the one q slope pass is one-sided and the p-slope is the
+        # solve's, so no (loss, point) is evaluated twice; the ladder adds
+        # two per rung at 0.9
         family = AffineMeanFamily(gamma_range=Interval(0, gamma_hi), beta_range=Interval(-1, 1))
-        p_solution = module.solve_minimax(M1, family, Power(2, 1), THETA3)
-        inner, seen = module.worst_case_on_profile, []
-
-        def counting(model, fam, x, loss, theta_interval):
-            seen.append((loss, x))
-            return inner(model, fam, x, loss, theta_interval)
-
-        monkeypatch.setattr(module, "worst_case_on_profile", counting)
+        p_solution = solve_minimax(M1, family, Power(2, 1), THETA3)
+        seen = record_evaluations(monkeypatch)
         cert = refute_joint_minimaxity(
             M1, family, Power(2, 1), Power(4, 1), THETA3, p_solution=p_solution
         )
         assert cert.delta_star_params[0] == gamma_hi
         assert len(seen) == calls and len(set(seen)) == calls
-        # the reused p-risk is the worst case at the face, bit for bit
-        p_risk = [inner(M1, family, x, Power(2, 1), THETA3).sup_value
-                  for x in (gamma_hi - 1e-4, gamma_hi)]
-        assert cert.gradient_p_norm == abs(p_risk[1] - p_risk[0]) / (gamma_hi - (gamma_hi - 1e-4))
+        # the p-slope is the solve's inward one-sided slope at the face
+        assert cert.gradient_p_norm == abs(p_solution.slope_pass.slopes[0])
+        assert cert.gradient_p_norm == pytest.approx(abs(20 * gamma_hi - 18), abs=1e-12)
 
     def test_same_class_pair_rejected(self):
         with pytest.raises(ExponentPreconditionError):
@@ -361,6 +366,18 @@ class TestPartition:
                 M1, FAMILY, Power(exponents[i]), Power(exponents[j]), THETA3, OPTS
             )
             assert witness == alone
+
+    @pytest.mark.parametrize("gamma_hi, exponents", [(1.5, (1.5, 2, 4)), (0.85, (2, 4))])
+    def test_no_loss_is_evaluated_twice_at_a_point(self, monkeypatch, gamma_hi, exponents):
+        # across the class solves, the certificates' slope passes and their
+        # ladders: the k = 3 job shares each p-optimum between two pairs and
+        # hits the L2 optimum with a rung; at the face both optima are 0.85
+        family = AffineMeanFamily(gamma_range=Interval(0, gamma_hi), beta_range=Interval(-1, 1))
+        seen = record_evaluations(monkeypatch)
+        report = check_exclusivity_partition(M1, family, exponents, THETA3, OPTS)
+        assert len(seen) == len(set(seen))
+        solves = [(Power(c.exponent), c.params[0]) for c in report.classes]
+        assert set(solves) <= set(seen)
 
     def test_wide_interval_partition_fails(self):
         report = check_exclusivity_partition(M1, FAMILY, [2, 4], THETA_WIDE, OPTS)

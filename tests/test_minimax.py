@@ -8,12 +8,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from minmax_lab.exclusivity import check_exclusivity_partition
-from minmax_lab.losses import Power, SumLoss
+from minmax_lab.losses import Huber, Power, SumLoss
 from minmax_lab.minimax import (
     AffineMeanFamily,
     MedianShiftFamily,
     SolveOptions,
-    scipy_minimize,
     solve_minimax,
 )
 from minmax_lab.model import GaussianLocationModel, Interval
@@ -25,7 +24,6 @@ from oracles import (
     affine_l4_worst,
     quadpack_median_risk,
     scan_min,
-    scipy_bounded_search,
 )
 
 M1 = GaussianLocationModel(n=1)
@@ -33,6 +31,29 @@ THETA3 = Interval(-3, 3)
 FAMILY = AffineMeanFamily(gamma_range=Interval(0, 1.5), beta_range=Interval(-1, 1))
 
 OPTS = SolveOptions()
+
+
+def recording(inner, seen):
+    """`inner`, a profile evaluation (model, family, x, loss, ...), that
+    also appends its x to `seen`."""
+    def wrapper(model, family, x, *args, **kwargs):
+        seen.append(x)
+        return inner(model, family, x, *args, **kwargs)
+    return wrapper
+
+
+@pytest.fixture
+def slope_passes(monkeypatch):
+    """Every slope pass the minimax module makes, in order."""
+    module = importlib.import_module("minmax_lab.minimax")
+    inner, passes = module.profile_slopes, []
+
+    def counting(*args, **kwargs):
+        passes.append(inner(*args, **kwargs))
+        return passes[-1]
+
+    monkeypatch.setattr(module, "profile_slopes", counting)
+    return passes
 
 
 class TestAffineMinimax:
@@ -87,35 +108,63 @@ class TestAffineMinimax:
         assert a.best_params == b.best_params
         assert a.minimax_value == b.minimax_value
 
-    def test_default_l2_solve_call_budget(self, risk_calls):
+    def test_default_l2_solve_is_exact_in_three_passes(self, slope_passes):
         result = solve_minimax(M1, FAMILY, Power(2, 1), THETA3)
-        assert len(risk_calls) <= 20
-        assert result.best_params == pytest.approx((0.9, 0.0), abs=1e-4)
+        assert result.best_params[0] == pytest.approx(0.9, abs=1e-12)
+        assert result.best_params[1] == 0.0
+        assert len(slope_passes) == result.search_iterations <= 3
+        assert result.converged
 
     @pytest.mark.parametrize(
         "gamma_hi, loss", [(1.5, Power(2, 1)), (0.85, Power(2, 1)), (1.5, Power(4, 1))]
     )
     def test_each_profile_worst_case_is_computed_once(self, monkeypatch, gamma_hi, loss):
-        # the breakpoint comparison reuses the search point's worst case
+        # slope passes and plain worst cases together: no x twice
         module = importlib.import_module("minmax_lab.minimax")
-        inner, xs = module.worst_case_on_profile, []
-
-        def recording(model, family, x, *args, **kwargs):
-            xs.append(x)
-            return inner(model, family, x, *args, **kwargs)
-
-        monkeypatch.setattr(module, "worst_case_on_profile", recording)
+        xs = []
+        for name in ("profile_slopes", "worst_case_on_profile"):
+            monkeypatch.setattr(module, name, recording(getattr(module, name), xs))
         family = AffineMeanFamily(gamma_range=Interval(0, gamma_hi), beta_range=Interval(-1, 1))
-        solve_minimax(M1, family, loss, THETA3)
-        assert len(xs) == len(set(xs)) > 3
+        result = solve_minimax(M1, family, loss, THETA3)
+        assert len(xs) == len(set(xs)) == result.search_iterations >= 1
 
-    def test_gamma_face_optimum_is_exact(self):
+    def test_gamma_face_optimum_is_exact(self, slope_passes):
         family = AffineMeanFamily(gamma_range=Interval(0, 0.85), beta_range=Interval(-1, 1))
         result = solve_minimax(M1, family, Power(2, 1), THETA3)
         assert result.best_params == (0.85, 0.0)
         assert result.minimax_value == pytest.approx(0.925, abs=1e-12)
-        # the face beat the search point, so the two differ
-        assert result.breakpoint_gap > 0
+        assert len(slope_passes) == result.search_iterations <= 3
+        # the KKT face test: the profile still descends into the face
+        assert result.slope_pass.slopes[0] == pytest.approx(-1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("gamma_hi", [1.5, 0.85])
+    def test_value_is_the_worst_case_at_the_optimum_bit_for_bit(self, gamma_hi):
+        family = AffineMeanFamily(gamma_range=Interval(0, gamma_hi), beta_range=Interval(-1, 1))
+        for loss in (Power(1.5, 1), Power(2, 1), Power(4, 1), Huber(1.0)):
+            result = solve_minimax(M1, family, loss, THETA3)
+            again = worst_case_risk(M1, family.make(result.best_params), loss, THETA3)
+            assert (result.minimax_value, result.worst_case) == (again.sup_value, again)
+
+    @pytest.mark.parametrize("maxiter", [1, 2])
+    def test_maxiter_caps_the_passes(self, slope_passes, maxiter):
+        result = solve_minimax(M1, FAMILY, Power(4, 1), THETA3, SolveOptions(maxiter=maxiter))
+        assert len(slope_passes) == result.search_iterations == maxiter
+        assert not result.converged
+        # the best point evaluated, with its own worst case
+        assert result.minimax_value == min(p.worst_case.sup_value for p in slope_passes)
+
+    def test_slopes_at_gamma_zero_are_quotients(self, monkeypatch):
+        # hw = 0.1 and sd = 4 put gamma* = hw^2 / (sd^2 + hw^2) near 0: the
+        # first Newton step from gamma = 1 spans most of the piece, so the
+        # search tries the face gamma = 0, where s = 0 and the slopes are
+        # difference quotients, before it steps back in
+        module = importlib.import_module("minmax_lab.minimax")
+        xs = []
+        monkeypatch.setattr(module, "profile_slopes", recording(module.profile_slopes, xs))
+        model = GaussianLocationModel(n=1, sigma=4.0)
+        result = solve_minimax(model, FAMILY, Power(2, 1), Interval(-0.1, 0.1))
+        assert 0.0 in xs and result.converged
+        assert result.best_params[0] == pytest.approx(0.01 / 16.01, abs=1e-12)
 
     @pytest.mark.parametrize(
         "loss", [Power(0.5, 1), SumLoss((Power(0.5, 1), Power(4, 0.1)))], ids=["p0.5", "sum"]
@@ -174,66 +223,13 @@ class TestAffineMinimax:
             assert result.best_params[0] == pytest.approx(gamma_star, abs=1e-4)
 
 
-def search_objective(kind: str, c: float, k: float):
-    """Kinked, smooth, multimodal, flat and clipped objectives for the search."""
-    if kind == "power":
-        return lambda x: abs(x - c) ** k
-    if kind == "multimodal":
-        return lambda x: math.sin(3 * x) + 0.1 * (x - c) ** 2
-    if kind == "constant":
-        return lambda x: 1.0
-    return lambda x: max(abs(x - c), 0.3)
-
-
-class TestBoundedSearch:
-    """The ported search evaluates exactly the points scipy's does."""
-
-    @given(
-        kind=st.sampled_from(("power", "multimodal", "constant", "clipped")),
-        k=st.sampled_from((0.5, 1.0, 2.0, 3.0)),
-        lo=st.floats(min_value=-5.0, max_value=5.0),
-        log_width=st.floats(min_value=-7.0, max_value=1.3),
-        # c relative to the box: inside it, or past either end
-        at=st.floats(min_value=-0.5, max_value=1.5),
-        maxiter=st.sampled_from((1, 2, 5, 600)),
-    )
-    # a minimum at the box midpoint, which the first golden step misses
-    @example(kind="power", k=1.0, lo=-1.0, log_width=math.log10(2.0), at=0.5, maxiter=600)
-    # a box 1e-7 wide, narrower than the stopping tolerance
-    @example(kind="power", k=2.0, lo=0.3, log_width=-7.0, at=0.2, maxiter=600)
-    # a flat objective: every step is a golden one
-    @example(kind="constant", k=1.0, lo=0.0, log_width=0.0, at=0.0, maxiter=600)
-    # a flat floor wider than the box, past its upper end
-    @example(kind="clipped", k=1.0, lo=0.0, log_width=-1.0, at=1.5, maxiter=600)
-    # the iteration cap stops the search
-    @example(kind="multimodal", k=1.0, lo=-5.0, log_width=1.0, at=0.7, maxiter=1)
-    @example(kind="multimodal", k=1.0, lo=-5.0, log_width=1.0, at=0.7, maxiter=5)
-    @example(kind="power", k=0.5, lo=0.0, log_width=0.0, at=0.3, maxiter=2)
-    @settings(max_examples=300, deadline=None)
-    def test_port_matches_scipy(self, kind, k, lo, log_width, at, maxiter):
-        hi = lo + 10.0**log_width
-        f = search_objective(kind, lo + at * (hi - lo), k)
-        xs = []
-
-        def recorded(x):
-            xs.append(x)
-            return f(x)
-
-        port = scipy_minimize(recorded, lo, hi, maxiter)
-        ref, ref_xs = scipy_bounded_search(f, lo, hi, maxiter)
-        # hex tells -0.0 from 0.0: the points are equal bit for bit
-        assert [x.hex() for x in xs] == [x.hex() for x in ref_xs]
-        assert (port.x.hex(), port.fun, port.nit, port.nfev, port.success) == (
-            float(ref.x).hex(), float(ref.fun), ref.nit, ref.nfev, bool(ref.success))
-
-
 class TestMedianShift:
     def test_symmetric_loss_centers_the_shift(self):
         model = GaussianLocationModel(n=11)
         family = MedianShiftFamily(beta_range=Interval(-1, 1))
         result = solve_minimax(model, family, Power(2, 1), THETA3)
         assert result.best_params == (0.0,)
-        assert (result.search_iterations, result.converged, result.breakpoint_gap) == (0, True, 0.0)
+        assert (result.search_iterations, result.converged, result.slope_pass) == (0, True, None)
         # at the optimum the value is the exact median risk itself
         assert result.minimax_value == pytest.approx(quadpack_median_risk(11, 0.0, 2.0), rel=1e-10)
 
