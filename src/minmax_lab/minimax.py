@@ -76,11 +76,14 @@ class AffineMeanFamily:
 
     def abs_mu_slopes(self, gamma: float, theta_interval: Interval) -> Tuple[float, float]:
         """One-sided slopes (left, right) in gamma of max |mu| over the theta
-        interval along the profile: |c| + |gamma - 1| * hw, where c, mu at
-        the midpoint, is 0 where beta* is unclipped and has slope mid and
-        the sign of the clipped end's side (+ at the low end) where it is
-        clipped.  The sides are decided against the clip points of
-        `breakpoints`, so a breakpoint gets two different slopes."""
+        interval along the profile.
+
+        That maximum is |c| + |gamma - 1| * hw, where c = (gamma - 1) * mid
+        + beta*(gamma) is mu at the midpoint: 0 where beta* is unclipped,
+        positive with slope mid where beta* is clipped at the low end of
+        its range, negative with slope mid at the high end.  Which holds on
+        each side of gamma is decided against the clip points of
+        `breakpoints`, so a breakpoint gets its two one-sided slopes."""
         mid = theta_interval.midpoint
         hw = theta_interval.hi - mid
         k = math.copysign(1.0, mid)
