@@ -307,7 +307,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="master seed (overrides [run] seed)")
         p.add_argument("--allow-nonconverged", action="store_true",
-                       help="exit 0 even when the minimax solver did not converge")
+                       help="exit 0 even when the minimax solve, or a class solve "
+                            "of exclusivity, did not converge")
     return parser
 
 
@@ -318,7 +319,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         cfg = load_config(args.config)
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make the --out directory {out_dir}: {exc}") from exc
         seed = args.seed if args.seed is not None else cfg.seed
         handler, _ = _COMMANDS[args.command]
         return handler(cfg, args, out_dir, seed)

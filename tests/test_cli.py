@@ -699,6 +699,42 @@ class TestConfigErrors:
     def test_nonexistent_config_file(self, tmp_path, out_dir):
         assert main(["risk", "--config", str(tmp_path / "nope.cfg"), "--out", str(out_dir)]) == 2
 
+    @pytest.mark.parametrize("text, message", [
+        ("[model]\nn = 1\n[model]\n", "line 3: section [model] appears twice"),
+        ("[model]\nn = 1\nN = 2\n", "line 3: key 'n' appears twice in [model]"),
+        ("n = 1\n[model]\n", "line 1: 'n = 1' comes before any [section] header"),
+        ("[model]\nn = 1\nsigma 2\n", "line 3: 'sigma 2' has no '=' or ':'"),
+        ("[model]\n  = 1\n", "line 2: '= 1' has no key before '='"),
+    ])
+    def test_parse_error_names_file_and_line(self, text, message, write_config, out_dir,
+                                             capsys):
+        cfg = write_config(text)
+        assert main(["risk", "--config", str(cfg), "--out", str(out_dir)]) == 2
+        assert f"config parse error in {cfg}: {message}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_default_section_is_unknown(self, write_config, out_dir, capsys):
+        # an empty one too: it is not folded into the other sections
+        cfg = write_config(ALL_SECTIONS, "[DEFAULT]\n")
+        assert main(["risk", "--config", str(cfg), "--out", str(out_dir)]) == 2
+        assert "unknown section [DEFAULT]" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_config_that_is_not_utf8(self, tmp_path, out_dir, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(ALL_SECTIONS.replace("seed = 7", "seed = \xff7").encode("latin-1"))
+        assert main(["risk", "--config", str(cfg), "--out", str(out_dir)]) == 2
+        assert f"cannot read config {cfg}: 'utf-8' codec" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_out_naming_a_file(self, write_config, tmp_path, capsys):
+        cfg = write_config(ALL_SECTIONS)
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        assert main(["risk", "--config", str(cfg), "--out", str(taken)]) == 2
+        assert f"--out directory {taken}" in capsys.readouterr().err
+        assert taken.read_text() == "kept"
+
 
 # Every command's section on top of MM_BASE, so that one line added to any
 # section can be run through the command that reads it.
@@ -896,6 +932,25 @@ def test_solving_commands_never_import_scipy(tmp_path):
     for family in ("affine", "median"):
         assert (tmp_path / f"{family}-minimax" / "minimax.json").exists()
         assert (tmp_path / f"{family}-exclusivity" / "exclusivity.json").exists()
+
+
+def test_no_command_imports_configparser(tmp_path):
+    # constructing and querying a ConfigParser cost more than a solve; the
+    # tests keep it as the oracle of config.read_ini
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(ALL_SECTIONS)
+    script = textwrap.dedent(f"""
+        import sys
+        from minmax_lab.cli import _COMMANDS, main
+        for command in _COMMANDS:
+            out = {str(tmp_path)!r} + "/" + command
+            assert main([command, "--config", {str(cfg)!r}, "--out", out]) == 0
+        print("configparser" in sys.modules)
+    """)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"  # the commands print above it
 
 
 # Every JSON document's tag and keys, in order.  A record's fields are its
