@@ -54,7 +54,6 @@ from .minimax import (
     FamilySpec,
     MedianShiftFamily,
     MinimaxResult,
-    SolveOptions,
     solve_minimax,
 )
 from .exclusivity import (
@@ -111,7 +110,6 @@ __all__ = [
     "AffineMeanFamily",
     "MedianShiftFamily",
     "FamilySpec",
-    "SolveOptions",
     "MinimaxResult",
     "solve_minimax",
     # exclusivity

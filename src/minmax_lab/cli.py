@@ -25,7 +25,6 @@ import io
 import os
 import sys
 import tempfile
-from dataclasses import fields
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
@@ -46,7 +45,7 @@ from .exclusivity import (
     mean_shift_risk_deriv,
 )
 from .losses import DEFAULT_POINTS, DEFAULT_WINDOW, classify_exponent
-from .minimax import SolveOptions, solve_minimax
+from .minimax import MAXITER, solve_minimax
 from .model import _require_finite
 from .risk import MonteCarlo, Quadrature, risk
 from .serialize import to_document, to_json
@@ -106,17 +105,17 @@ def _write_json(path: Path, cfg: RunConfig, seed: Optional[int], command: str,
     _atomic_write(path, to_json(document))
 
 
-def _solve_options(cfg: RunConfig, view: SectionView) -> SolveOptions:
-    """SolveOptions of a family solve for the `minimax` or `exclusivity`
-    command, named by its section: the config must have a [family], and
-    each option field that the section sets is used.  The config table
-    admits only the option fields, so no other field can be set.  Every
-    family solve is exact, so none needs a seed."""
+def _maxiter(cfg: RunConfig, view: SectionView) -> int:
+    """The iteration cap of a family solve for the `minimax` or
+    `exclusivity` command, named by its section, which the config must
+    pair with a [family].  Every family solve is exact, so none needs a
+    seed."""
     if cfg.family is None:
         raise ConfigError(f"missing [family] section ({view.name} needs a family)")
-    with view.checked():
-        return SolveOptions(**{f.name: view.int(f.name) for f in fields(SolveOptions)
-                               if view.has(f.name)})
+    maxiter = view.int("maxiter", MAXITER)
+    if maxiter < 1:
+        raise ConfigError(f"[{view.name}]: maxiter must be >= 1, got {maxiter}")
+    return maxiter
 
 
 def _nonconverged(args, what: str) -> int:
@@ -167,8 +166,8 @@ def cmd_risk(cfg: RunConfig, args, out_dir: Path, seed: Optional[int]) -> int:
 def cmd_minimax(cfg: RunConfig, args, out_dir: Path, seed: Optional[int]) -> int:
     view = cfg.section("minimax")
     loss = cfg.loss(view.str("loss"))
-    opts = _solve_options(cfg, view)
-    result = solve_minimax(cfg.model, cfg.family, loss, cfg.theta_interval, opts)
+    maxiter = _maxiter(cfg, view)
+    result = solve_minimax(cfg.model, cfg.family, loss, cfg.theta_interval, maxiter)
     _write_json(out_dir / "minimax.json", cfg, seed, "minimax", result)
     print(
         f"minimax value {result.minimax_value:.6g} at params "
@@ -181,11 +180,11 @@ def cmd_minimax(cfg: RunConfig, args, out_dir: Path, seed: Optional[int]) -> int
 def cmd_exclusivity(cfg: RunConfig, args, out_dir: Path, seed: Optional[int]) -> int:
     view = cfg.section("exclusivity")
     exponents = view.floats("exponents")
-    opts = _solve_options(cfg, view)
+    maxiter = _maxiter(cfg, view)
     # the partition's ValueErrors are about the exponents
     with view.checked():
         report = check_exclusivity_partition(
-            cfg.model, cfg.family, exponents, cfg.theta_interval, opts
+            cfg.model, cfg.family, exponents, cfg.theta_interval, maxiter
         )
     _write_json(out_dir / "exclusivity.json", cfg, seed, "exclusivity", report)
 

@@ -54,13 +54,13 @@ import hashlib
 import math
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from .errors import ConfigError
 from .losses import Huber, LossSpec, Power, Scaled, SumLoss
-from .minimax import AffineMeanFamily, FamilySpec, MedianShiftFamily, SolveOptions
+from .minimax import AffineMeanFamily, FamilySpec, MedianShiftFamily
 from .model import (
     AffineMean,
     EstimatorSpec,
@@ -74,7 +74,6 @@ from .model import (
 # still set them, and they are ignored.
 RETIRED_KEYS = ("restarts", "grid", "refine_tol", "fatol", "agreement_tol", "halvings",
                 "mc_samples")
-_SOLVE_KEYS = tuple(f.name for f in fields(SolveOptions))
 
 # Every section and the keys it takes.  [loss NAME] and [estimator NAME]
 # carry a name; they and [family] take `kind` and the keys of that kind.
@@ -91,8 +90,8 @@ SECTIONS: Dict[str, Any] = {
     "run": ("seed",),
     "risk": ("estimator", "loss", "thetas", "theta_lo", "theta_hi", "theta_count", "method",
              "samples"),
-    "minimax": ("loss", *_SOLVE_KEYS, *RETIRED_KEYS),
-    "exclusivity": ("exponents", *_SOLVE_KEYS, *RETIRED_KEYS),
+    "minimax": ("loss", "maxiter", *RETIRED_KEYS),
+    "exclusivity": ("exponents", "maxiter", *RETIRED_KEYS),
     "shift_risk": ("q", "n", "alphas"),
     "classify": ("losses", "window_lo", "window_hi", "points"),
 }

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import ClassVar, Literal, Optional, Sequence, Tuple
 
@@ -44,16 +45,16 @@ from .errors import ExponentPreconditionError, InsufficientClassesError
 from .losses import LossSpec, Power, classify_exponent, loss_of_error  # noqa: F401
 from .model import AffineMean, GaussianLocationModel, Interval, _require_finite
 from .minimax import (
+    MAXITER,
     FamilySpec,
     MinimaxResult,
-    SolveOptions,
     profile_slopes,
     solve_minimax,
     worst_case_on_profile,
 )
 from .quadrature import gaussian_expectation
 # the benchmark's tracer also patches worst_case_risk under this module
-from .risk import Quadrature, WorstCaseSlopes, risk, worst_case_risk
+from .risk import Quadrature, WorstCaseSlopes, _checked, risk, worst_case_risk
 
 
 class Verdict(enum.Enum):
@@ -123,7 +124,6 @@ def refute_joint_minimaxity(
     loss_p: LossSpec,
     loss_q: LossSpec,
     theta_interval: Interval,
-    opts: Optional[SolveOptions] = None,
     p_solution: Optional[MinimaxResult] = None,
     q_solution: Optional[MinimaxResult] = None,
 ) -> RefutationCertificate:
@@ -133,8 +133,8 @@ def refute_joint_minimaxity(
     Requires both local exponents > 1 and separated by more than 0.05;
     equal-class pairs are rejected up front because positive scaling never
     leaves a class.  `p_solution`, when given, must be the
-    result of solve_minimax for loss_p with the same model, family, interval
-    and `opts`; it is used instead of solving that problem again.
+    result of solve_minimax for loss_p with the same model, family and
+    interval; it is used instead of solving that problem again.
     `q_solution`, likewise for loss_q, lends its optimum's worst case and
     last slope pass wherever the certificate evaluates loss_q there.
     """
@@ -152,7 +152,7 @@ def refute_joint_minimaxity(
 
     mm = p_solution
     if mm is None:
-        mm = solve_minimax(model, family, loss_p, theta_interval, opts)
+        mm = solve_minimax(model, family, loss_p, theta_interval)
     x = mm.best_params[0]
     box = family.bounds[0]
 
@@ -214,7 +214,7 @@ def refute_joint_minimaxity(
     return RefutationCertificate(
         p=cls_p.p_hat,
         q=cls_q.p_hat,
-        delta_star_params=tuple(float(v) for v in mm.best_params),
+        delta_star_params=mm.best_params,
         gradient_q=(g,),
         gradient_p_norm=abs(_descent_slope(at_p, x, box)),
         direction=(0.0 if stationary else step,),
@@ -269,15 +269,22 @@ def mean_shift_risk_deriv(
     """d/d(alpha) of mean_shift_risk.
 
     analytic: -q * E[(Z/sqrt(n) - alpha) * |Z/sqrt(n) - alpha|^(q-2)];
-    fd: central difference with step 1e-5.  The two must agree closely
-    for q >= 1.5; the sign of the result is reported as computed.  Both
-    modes check q, n and alpha as mean_shift_risk does.
+    fd: central difference with step 1e-5 * max(1, |alpha|), relative past
+    |alpha| = 1 so that it is not lost in rounding at large shifts.  The
+    two must agree closely for q >= 1.5; the sign of the result is
+    reported as computed.  Both modes check q, n and alpha as
+    mean_shift_risk does, and a derivative that is not finite is a
+    NonFiniteRiskError.
     """
     alpha = _check_shift(alpha, n, q)
+    context = f"alpha={alpha}, n={n}, q={q}"
     if mode == "fd":
-        up = mean_shift_risk(alpha + 1e-5, n, q)
-        dn = mean_shift_risk(alpha - 1e-5, n, q)
-        return (up - dn) / 2e-5
+        h = 1e-5 * max(1.0, abs(alpha))
+        # a step that overflows stops at the largest float, where the risk,
+        # at least |alpha|^q, overflows as well
+        up = mean_shift_risk(min(alpha + h, sys.float_info.max), n, q)
+        dn = mean_shift_risk(max(alpha - h, -sys.float_info.max), n, q)
+        return _checked((up - dn) / (2.0 * h), context, "risk derivative")
     if mode != "analytic":
         raise ValueError(f"mode must be 'analytic' or 'fd', got {mode!r}")
 
@@ -286,11 +293,12 @@ def mean_shift_risk_deriv(
 
     value = gaussian_expectation(
         signed_power,
-        mu=-float(alpha),
+        mu=-alpha,
         s=1.0 / math.sqrt(n),
         roots=(0.0,),
     )
-    return -q * value + 0.0  # normalizes -0.0 at symmetric shifts
+    # + 0.0 normalizes -0.0 at symmetric shifts
+    return _checked(-q * value + 0.0, context, "risk derivative")
 
 
 @dataclass(frozen=True)
@@ -322,11 +330,12 @@ def check_exclusivity_partition(
     family: FamilySpec,
     exponents: Sequence[float],
     theta_interval: Interval,
-    opts: Optional[SolveOptions] = None,
+    maxiter: int = MAXITER,
 ) -> PartitionReport:
     """Solve each exponent class and try to refute every cross-class pair.
 
-    Each class is solved once: the refutations reuse the per-class results.
+    Each class is solved once, with `maxiter` as its search's iteration
+    cap: the refutations reuse the per-class results.
     pairwise_disjoint is True exactly when every pair came back Refuted;
     other verdicts are carried in the witnesses rather than raised.
     param_distances are the Euclidean distances between the class optima.
@@ -345,12 +354,12 @@ def check_exclusivity_partition(
 
     exponents = sorted(exponents)
     losses = [Power(p=p) for p in exponents]
-    results = [solve_minimax(model, family, loss, theta_interval, opts) for loss in losses]
+    results = [solve_minimax(model, family, loss, theta_interval, maxiter) for loss in losses]
     optima = [np.asarray(r.best_params) for r in results]
 
     witnesses = tuple(
         refute_joint_minimaxity(
-            model, family, losses[i], losses[j], theta_interval, opts,
+            model, family, losses[i], losses[j], theta_interval,
             p_solution=results[i], q_solution=results[j],
         )
         for i in range(len(losses))

@@ -123,15 +123,8 @@ class MedianShiftFamily:
 FamilySpec = Union[AffineMeanFamily, MedianShiftFamily]
 
 
-@dataclass(frozen=True)
-class SolveOptions:
-    """Iteration cap of the scalar search."""
-
-    maxiter: int = 600
-
-    def __post_init__(self):
-        if self.maxiter < 1:
-            raise ValueError(f"maxiter must be >= 1, got {self.maxiter}")
+#: Iteration cap of the scalar search when none is given.
+MAXITER = 600
 
 
 @dataclass(frozen=True)
@@ -152,11 +145,10 @@ class MinimaxResult:
 
 
 class BoundedSearch(NamedTuple):
-    """Point and value `scipy_minimize` stopped at, its count of slope
-    passes (as both nit and nfev) and the pass at that point."""
+    """Point `scipy_minimize` stopped at, its count of slope passes (as
+    both nit and nfev) and the pass at that point."""
 
     x: float
-    fun: float
     nit: int
     nfev: int
     success: bool
@@ -189,8 +181,7 @@ def scipy_minimize(
     def stop(x: float, success: bool) -> BoundedSearch:
         if not success:
             x = min(done, key=lambda c: done[c].worst_case.sup_value)
-        at = done[x]
-        return BoundedSearch(x, at.worst_case.sup_value, len(done), len(done), success, at)
+        return BoundedSearch(x, len(done), len(done), success, done[x])
 
     def optimal(x: float) -> bool:
         # 0 lies between the one-sided slopes, or within a Newton step of
@@ -282,7 +273,7 @@ def solve_minimax(
     family: FamilySpec,
     loss: LossSpec,
     theta_interval: Interval,
-    opts: Optional[SolveOptions] = None,
+    maxiter: int = MAXITER,
 ) -> MinimaxResult:
     """Minimize sup_theta risk over the family's free coordinate.
 
@@ -290,10 +281,10 @@ def solve_minimax(
     says it stopped at an optimum rather than at the `maxiter` cap; an
     unconverged solve still returns the best point it evaluated.  A median
     family takes its closed-form optimum: no search, 0 iterations,
-    converged.
+    converged.  A `maxiter` below 1 is a ValueError.
     """
-    if opts is None:
-        opts = SolveOptions()
+    if maxiter < 1:
+        raise ValueError(f"maxiter must be >= 1, got {maxiter}")
     if isinstance(family, MedianShiftFamily):
         box = family.bounds[0]
         # never -0.0: max and min keep their first argument on a tie
@@ -304,13 +295,14 @@ def solve_minimax(
     search = scipy_minimize(
         functools.partial(profile_slopes, model, family, loss=loss,
                           theta_interval=theta_interval),
-        family.breakpoints(theta_interval), opts.maxiter,
+        family.breakpoints(theta_interval), maxiter,
     )
+    worst_case = search.slope_pass.worst_case
     return MinimaxResult(
-        best_params=tuple(float(v) for v in family.profile(search.x, theta_interval)),
-        minimax_value=search.fun,
-        worst_case=search.slope_pass.worst_case,
-        search_iterations=int(search.nit),
-        converged=bool(search.success),
+        best_params=family.profile(search.x, theta_interval),
+        minimax_value=worst_case.sup_value,
+        worst_case=worst_case,
+        search_iterations=search.nit,
+        converged=search.success,
         slope_pass=search.slope_pass,
     )

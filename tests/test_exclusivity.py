@@ -17,7 +17,7 @@ from minmax_lab.exclusivity import (
     refute_joint_minimaxity,
 )
 from minmax_lab.losses import Power, Scaled, scale_loss
-from minmax_lab.minimax import AffineMeanFamily, MedianShiftFamily, SolveOptions, solve_minimax
+from minmax_lab.minimax import AffineMeanFamily, MedianShiftFamily, solve_minimax
 from minmax_lab.model import AffineMean, GaussianLocationModel, Interval, SignPerturbed
 from minmax_lab.risk import MonteCarlo, risk
 
@@ -27,8 +27,6 @@ M1 = GaussianLocationModel(n=1)
 THETA3 = Interval(-3, 3)
 THETA_WIDE = Interval(-50, 50)
 FAMILY = AffineMeanFamily(gamma_range=Interval(0, 1.5), beta_range=Interval(-1, 1))
-
-OPTS = SolveOptions()
 
 
 def record_evaluations(monkeypatch):
@@ -128,24 +126,24 @@ class TestRefutation:
     def test_same_class_pair_rejected(self):
         with pytest.raises(ExponentPreconditionError):
             refute_joint_minimaxity(
-                M1, FAMILY, Power(2, 1), Scaled(5, Power(2, 1)), THETA3, OPTS
+                M1, FAMILY, Power(2, 1), Scaled(5, Power(2, 1)), THETA3
             )
 
     def test_nonsmooth_exponent_rejected(self):
         with pytest.raises(ExponentPreconditionError):
-            refute_joint_minimaxity(M1, FAMILY, Power(1, 1), Power(2, 1), THETA3, OPTS)
+            refute_joint_minimaxity(M1, FAMILY, Power(1, 1), Power(2, 1), THETA3)
 
     def test_wide_interval_is_stationary_for_both(self):
         cert = refute_joint_minimaxity(
-            M1, FAMILY, Power(2, 1), Power(4, 1), THETA_WIDE, OPTS
+            M1, FAMILY, Power(2, 1), Power(4, 1), THETA_WIDE
         )
         assert cert.verdict in (Verdict.STATIONARY_BOTH, Verdict.NO_DESCENT_IN_FAMILY)
 
     @pytest.mark.parametrize("factor", [0.1, 10.0])
     def test_invariant_under_scaling_the_second_loss(self, factor):
-        base = refute_joint_minimaxity(M1, FAMILY, Power(2, 1), Power(4, 1), THETA3, OPTS)
+        base = refute_joint_minimaxity(M1, FAMILY, Power(2, 1), Power(4, 1), THETA3)
         scaled = refute_joint_minimaxity(
-            M1, FAMILY, Power(2, 1), scale_loss(Power(4, 1), factor), THETA3, OPTS
+            M1, FAMILY, Power(2, 1), scale_loss(Power(4, 1), factor), THETA3
         )
         assert scaled.verdict is base.verdict
         for a, b in zip(scaled.direction, base.direction):
@@ -204,10 +202,10 @@ class TestProfileCertificate:
         wide = Interval(-abs(c) - 1.0, abs(c) + 1.0)
         family = AffineMeanFamily(gamma_range=Interval(0, 1.5), beta_range=wide)
         centred = refute_joint_minimaxity(
-            model, family, Power(2, 1), Power(4, 1), Interval(-hw, hw), OPTS
+            model, family, Power(2, 1), Power(4, 1), Interval(-hw, hw)
         )
         shifted = refute_joint_minimaxity(
-            model, family, Power(2, 1), Power(4, 1), Interval(c - hw, c + hw), OPTS
+            model, family, Power(2, 1), Power(4, 1), Interval(c - hw, c + hw)
         )
         assert shifted.verdict is centred.verdict
         # abs: the round-off floor of a difference quotient, ulp(R) / 1e-4,
@@ -336,7 +334,7 @@ class TestShiftRisk:
 
 class TestPartition:
     def test_bounded_interval_partition_is_disjoint(self):
-        report = check_exclusivity_partition(M1, FAMILY, [2, 4], THETA3, OPTS)
+        report = check_exclusivity_partition(M1, FAMILY, [2, 4], THETA3)
         assert report.pairwise_disjoint
         assert len(report.classes) == 2
         assert len(report.witnesses) == 1
@@ -348,14 +346,14 @@ class TestPartition:
         solved = []
         inner = importlib.import_module("minmax_lab.minimax").solve_minimax
 
-        def counting(model, family, loss, theta_interval, opts=None):
+        def counting(model, family, loss, theta_interval, *rest):
             solved.append(loss)
-            return inner(model, family, loss, theta_interval, opts)
+            return inner(model, family, loss, theta_interval, *rest)
 
         for name in ("minmax_lab.minimax", "minmax_lab.exclusivity"):
             monkeypatch.setattr(importlib.import_module(name), "solve_minimax", counting)
         exponents = (1.5, 2, 4)
-        report = check_exclusivity_partition(M1, FAMILY, exponents, THETA3, OPTS)
+        report = check_exclusivity_partition(M1, FAMILY, exponents, THETA3)
         assert solved == [Power(p) for p in exponents]
 
         # reusing the class solves changes no witness: each equals a
@@ -363,9 +361,28 @@ class TestPartition:
         pairs = [(0, 1), (0, 2), (1, 2)]
         for witness, (i, j) in zip(report.witnesses, pairs):
             alone = refute_joint_minimaxity(
-                M1, FAMILY, Power(exponents[i]), Power(exponents[j]), THETA3, OPTS
+                M1, FAMILY, Power(exponents[i]), Power(exponents[j]), THETA3
             )
             assert witness == alone
+
+    @pytest.mark.parametrize("maxiter", [1, 2, 600])
+    def test_maxiter_reaches_every_class_solve(self, monkeypatch, maxiter):
+        module = importlib.import_module("minmax_lab.exclusivity")
+        inner = module.solve_minimax
+        caps, results = [], []
+
+        def counting(model, family, loss, theta_interval, *rest):
+            caps.extend(rest)
+            results.append(inner(model, family, loss, theta_interval, *rest))
+            return results[-1]
+
+        monkeypatch.setattr(module, "solve_minimax", counting)
+        exponents = (1.5, 2, 4)
+        report = check_exclusivity_partition(M1, FAMILY, exponents, THETA3, maxiter=maxiter)
+        assert caps == [maxiter] * len(exponents)
+        assert all(r.search_iterations <= maxiter for r in results)
+        # two passes leave the p = 1.5 and p = 4 searches short of their optima
+        assert report.converged is (maxiter == 600)
 
     @pytest.mark.parametrize("gamma_hi, exponents", [(1.5, (1.5, 2, 4)), (0.85, (2, 4))])
     def test_no_loss_is_evaluated_twice_at_a_point(self, monkeypatch, gamma_hi, exponents):
@@ -374,13 +391,13 @@ class TestPartition:
         # hits the L2 optimum with a rung; at the face both optima are 0.85
         family = AffineMeanFamily(gamma_range=Interval(0, gamma_hi), beta_range=Interval(-1, 1))
         seen = record_evaluations(monkeypatch)
-        report = check_exclusivity_partition(M1, family, exponents, THETA3, OPTS)
+        report = check_exclusivity_partition(M1, family, exponents, THETA3)
         assert len(seen) == len(set(seen))
         solves = [(Power(c.exponent), c.params[0]) for c in report.classes]
         assert set(solves) <= set(seen)
 
     def test_wide_interval_partition_fails(self):
-        report = check_exclusivity_partition(M1, FAMILY, [2, 4], THETA_WIDE, OPTS)
+        report = check_exclusivity_partition(M1, FAMILY, [2, 4], THETA_WIDE)
         assert not report.pairwise_disjoint
         assert report.witnesses[0].verdict in (
             Verdict.STATIONARY_BOTH,
@@ -389,15 +406,15 @@ class TestPartition:
 
     def test_single_class_rejected(self):
         with pytest.raises(InsufficientClassesError):
-            check_exclusivity_partition(M1, FAMILY, [2], THETA3, OPTS)
+            check_exclusivity_partition(M1, FAMILY, [2], THETA3)
 
     def test_duplicate_exponents_rejected(self):
         with pytest.raises(InsufficientClassesError):
-            check_exclusivity_partition(M1, FAMILY, [2, 2], THETA3, OPTS)
+            check_exclusivity_partition(M1, FAMILY, [2, 2], THETA3)
 
     def test_nonsmooth_exponents_rejected(self):
         with pytest.raises(ExponentPreconditionError):
-            check_exclusivity_partition(M1, FAMILY, [1, 2], THETA3, OPTS)
+            check_exclusivity_partition(M1, FAMILY, [1, 2], THETA3)
 
 
 class TestMedianCertificates:

@@ -12,7 +12,6 @@ from minmax_lab.losses import Huber, Power, SumLoss
 from minmax_lab.minimax import (
     AffineMeanFamily,
     MedianShiftFamily,
-    SolveOptions,
     solve_minimax,
 )
 from minmax_lab.model import GaussianLocationModel, Interval
@@ -29,8 +28,6 @@ from oracles import (
 M1 = GaussianLocationModel(n=1)
 THETA3 = Interval(-3, 3)
 FAMILY = AffineMeanFamily(gamma_range=Interval(0, 1.5), beta_range=Interval(-1, 1))
-
-OPTS = SolveOptions()
 
 
 def recording(inner, seen):
@@ -72,9 +69,7 @@ class TestAffineMinimax:
         assert result.converged
 
     def test_wide_interval_forces_identity_weight(self):
-        result = solve_minimax(
-            M1, FAMILY, Power(2, 1), Interval(-50, 50), SolveOptions()
-        )
+        result = solve_minimax(M1, FAMILY, Power(2, 1), Interval(-50, 50))
         gamma, _ = result.best_params
         assert gamma == pytest.approx(1.0, abs=0.02)
         assert result.minimax_value == pytest.approx(1.0, abs=0.02)
@@ -90,12 +85,12 @@ class TestAffineMinimax:
         assert result.minimax_value == pytest.approx(oracle_value, rel=1e-5)
 
     def test_value_matches_recomputed_worst_case(self):
-        result = solve_minimax(M1, FAMILY, Power(2, 1), THETA3, OPTS)
+        result = solve_minimax(M1, FAMILY, Power(2, 1), THETA3)
         recomputed = worst_case_risk(M1, FAMILY.make(result.best_params), Power(2, 1), THETA3)
         assert result.minimax_value == pytest.approx(recomputed.sup_value, rel=1e-6)
 
     def test_certified_upper_bound(self):
-        result = solve_minimax(M1, FAMILY, Power(2, 1), THETA3, OPTS)
+        result = solve_minimax(M1, FAMILY, Power(2, 1), THETA3)
         rng = np.random.default_rng(17)
         for _ in range(20):
             params = (rng.uniform(0, 1.5), rng.uniform(-1, 1))
@@ -103,8 +98,8 @@ class TestAffineMinimax:
             assert result.minimax_value <= other.sup_value + 1e-9
 
     def test_deterministic_given_options(self):
-        a = solve_minimax(M1, FAMILY, Power(2, 1), THETA3, OPTS)
-        b = solve_minimax(M1, FAMILY, Power(2, 1), THETA3, OPTS)
+        a = solve_minimax(M1, FAMILY, Power(2, 1), THETA3)
+        b = solve_minimax(M1, FAMILY, Power(2, 1), THETA3)
         assert a.best_params == b.best_params
         assert a.minimax_value == b.minimax_value
 
@@ -147,11 +142,18 @@ class TestAffineMinimax:
 
     @pytest.mark.parametrize("maxiter", [1, 2])
     def test_maxiter_caps_the_passes(self, slope_passes, maxiter):
-        result = solve_minimax(M1, FAMILY, Power(4, 1), THETA3, SolveOptions(maxiter=maxiter))
+        result = solve_minimax(M1, FAMILY, Power(4, 1), THETA3, maxiter)
         assert len(slope_passes) == result.search_iterations == maxiter
         assert not result.converged
         # the best point evaluated, with its own worst case
         assert result.minimax_value == min(p.worst_case.sup_value for p in slope_passes)
+
+    @pytest.mark.parametrize("family", [FAMILY, MedianShiftFamily(beta_range=Interval(-1, 1))])
+    @pytest.mark.parametrize("maxiter", [0, -3])
+    def test_maxiter_below_one_is_refused(self, slope_passes, family, maxiter):
+        with pytest.raises(ValueError, match=f"maxiter must be >= 1, got {maxiter}"):
+            solve_minimax(M1, family, Power(2, 1), THETA3, maxiter=maxiter)
+        assert slope_passes == []
 
     def test_slopes_at_gamma_zero_are_quotients(self, monkeypatch):
         # hw = 0.1 and sd = 4 put gamma* = hw^2 / (sd^2 + hw^2) near 0: the
