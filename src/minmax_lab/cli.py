@@ -46,7 +46,6 @@ from .exclusivity import (
 )
 from .losses import DEFAULT_POINTS, DEFAULT_WINDOW, classify_exponent
 from .minimax import MAXITER, solve_minimax
-from .model import _require_finite
 from .risk import MonteCarlo, Quadrature, risk
 from .serialize import to_document, to_json
 
@@ -108,14 +107,11 @@ def _write_json(path: Path, cfg: RunConfig, seed: Optional[int], command: str,
 def _maxiter(cfg: RunConfig, view: SectionView) -> int:
     """The iteration cap of a family solve for the `minimax` or
     `exclusivity` command, named by its section, which the config must
-    pair with a [family].  Every family solve is exact, so none needs a
-    seed."""
+    pair with a [family]; the solve checks its range.  Every family solve
+    is exact, so none needs a seed."""
     if cfg.family is None:
         raise ConfigError(f"missing [family] section ({view.name} needs a family)")
-    maxiter = view.int("maxiter", MAXITER)
-    if maxiter < 1:
-        raise ConfigError(f"[{view.name}]: maxiter must be >= 1, got {maxiter}")
-    return maxiter
+    return view.int("maxiter", MAXITER)
 
 
 def _nonconverged(args, what: str) -> int:
@@ -142,8 +138,8 @@ def cmd_risk(cfg: RunConfig, args, out_dir: Path, seed: Optional[int]) -> int:
         thetas = [lo + i * step for i in range(count)]
 
     method_name = view.str("method", "quadrature")
+    # risk raises a ValueError only for a theta that is not finite
     with view.checked():
-        thetas = [_require_finite("theta", theta) for theta in thetas]
         if method_name == "quadrature":
             method = Quadrature()
         elif method_name == "monte_carlo":
@@ -153,11 +149,10 @@ def cmd_risk(cfg: RunConfig, args, out_dir: Path, seed: Optional[int]) -> int:
             method = MonteCarlo(view.int("samples", 100_000), seed)
         else:
             raise ConfigError(f"[risk] method = {method_name!r} is not a risk method")
-
-    rows = []
-    for theta in thetas:
-        estimate = risk(cfg.model, est, loss, theta, method)
-        rows.append([theta, estimate.value, estimate.std_error])
+        rows = []
+        for theta in thetas:
+            estimate = risk(cfg.model, est, loss, theta, method)
+            rows.append([theta, estimate.value, estimate.std_error])
     _write_csv(out_dir / "risk.csv", cfg, seed, ["theta", "risk", "std_error"], rows)
     print(f"wrote {out_dir / 'risk.csv'} ({len(rows)} rows)")
     return 0
@@ -167,7 +162,9 @@ def cmd_minimax(cfg: RunConfig, args, out_dir: Path, seed: Optional[int]) -> int
     view = cfg.section("minimax")
     loss = cfg.loss(view.str("loss"))
     maxiter = _maxiter(cfg, view)
-    result = solve_minimax(cfg.model, cfg.family, loss, cfg.theta_interval, maxiter)
+    # the solve raises a ValueError only for maxiter
+    with view.checked():
+        result = solve_minimax(cfg.model, cfg.family, loss, cfg.theta_interval, maxiter)
     _write_json(out_dir / "minimax.json", cfg, seed, "minimax", result)
     print(
         f"minimax value {result.minimax_value:.6g} at params "
@@ -181,7 +178,7 @@ def cmd_exclusivity(cfg: RunConfig, args, out_dir: Path, seed: Optional[int]) ->
     view = cfg.section("exclusivity")
     exponents = view.floats("exponents")
     maxiter = _maxiter(cfg, view)
-    # the partition's ValueErrors are about the exponents
+    # the partition's ValueErrors are about the exponents and maxiter
     with view.checked():
         report = check_exclusivity_partition(
             cfg.model, cfg.family, exponents, cfg.theta_interval, maxiter

@@ -28,7 +28,9 @@ class QuadratureUnsupportedError(MinmaxLabError):
 
 class NonFiniteRiskError(MinmaxLabError):
     """A risk evaluation, or a result value derived from risks (such as a
-    difference quotient of two of them), is not finite."""
+    difference quotient of two of them), is not finite, or a quadrature
+    risk cannot be trusted to be: the loss has a power term above
+    risk.MAX_EXPONENT, whose risk the kernel's truncation understates."""
 
 
 class InsufficientClassesError(MinmaxLabError, ValueError):

@@ -8,10 +8,10 @@ of the q-loss at x gives its worst case, `gradient_q` and R_q'' exactly
 (Stein's identity, risk.worst_case_slopes): the steepest-descent slope,
 one-sided at a face or a kink of the profile, and `direction` is the sign
 of the step in x.  `gradient_p_norm` is the same slope of the p-loss, from
-the p-solve's last pass.  The median family and gamma = 0 (s = 0) take
-difference quotients with h = 1e-4 instead.  The steps alpha halve five
-times from 2|slope| / R_q'' (at most 0.1), where the local quadratic of the
-q-risk stops descending:
+the p-solve's own `worst_case` record.  The median family and gamma = 0
+(s = 0) take difference quotients with h = 1e-4 instead.  The steps alpha
+are alpha0/2 down to alpha0/16 below alpha0 = 2|slope| / R_q'' (at most
+0.1), where the local quadratic of the q-risk stops descending:
 
   * a strictly negative q-risk change at some step alpha, with the p-risk
     degrading only quadratically (fitted slope of |delta R_p| vs alpha near
@@ -54,7 +54,7 @@ from .minimax import (
 )
 from .quadrature import gaussian_expectation
 # the benchmark's tracer also patches worst_case_risk under this module
-from .risk import Quadrature, WorstCaseSlopes, _checked, risk, worst_case_risk
+from .risk import Quadrature, WorstCaseResult, _check_exponent, _checked, risk, worst_case_risk
 
 
 class Verdict(enum.Enum):
@@ -136,7 +136,7 @@ def refute_joint_minimaxity(
     result of solve_minimax for loss_p with the same model, family and
     interval; it is used instead of solving that problem again.
     `q_solution`, likewise for loss_q, lends its optimum's worst case and
-    last slope pass wherever the certificate evaluates loss_q there.
+    slopes wherever the certificate evaluates loss_q there.
     """
     cls_p = classify_exponent(loss_p)
     cls_q = classify_exponent(loss_q)
@@ -157,21 +157,22 @@ def refute_joint_minimaxity(
     box = family.bounds[0]
 
     def worst(loss: LossSpec, solution: Optional[MinimaxResult], at: float) -> float:
-        # a rung may land on the optimum of its loss's own solve (the second
+        # a rung may land on the optimum of its loss's own solve (the first
         # rung does, for a quadratic q-risk): that value is known
         if solution is not None and at == solution.best_params[0]:
             return solution.minimax_value
         return worst_case_on_profile(model, family, at, loss, theta_interval).sup_value
 
-    # one slope pass per loss at x: each solve's own last pass where its
-    # optimum is x, which it always is for p
-    at_p = mm.slope_pass or profile_slopes(model, family, x, loss_p, theta_interval,
-                                           at_x=mm.worst_case)
-    if q_solution is not None and q_solution.slope_pass and q_solution.best_params[0] == x:
-        at_q = q_solution.slope_pass
-    else:
-        at_q = profile_slopes(model, family, x, loss_q, theta_interval)
-    rp0, rq0 = mm.minimax_value, at_q.worst_case.sup_value
+    def slopes_at_x(loss: LossSpec, solution: Optional[MinimaxResult]) -> WorstCaseResult:
+        # a solve's own record where its optimum is x (always, for p); an
+        # affine solve's carries the slopes of its last pass
+        known = solution.worst_case if solution and solution.best_params[0] == x else None
+        if known and known.slopes:
+            return known
+        return profile_slopes(model, family, x, loss, theta_interval, at_x=known)
+
+    at_p, at_q = slopes_at_x(loss_p, mm), slopes_at_x(loss_q, q_solution)
+    rp0, rq0 = mm.minimax_value, at_q.sup_value
     g = _descent_slope(at_q, x, box)
     step = -math.copysign(1.0, g)
     # KKT on an interval: the q-slope is flat relative to the q-risk, or its
@@ -180,23 +181,24 @@ def refute_joint_minimaxity(
     stationary = abs(g) <= 1e-2 * rq0 or x == face
 
     # The local quadratic in the step, R_q - |g| a + R_q'' a^2 / 2, descends
-    # for a < 2|g| / R_q'', so the ladder starts there (at most at 0.1).  Its
-    # first rung sits on that boundary and the next four descend: the four
-    # the Taylor fit takes.  R_q'' is the one-sided curvature on the side of
-    # the step; without a positive one the ladder starts at 0.1.
+    # for a < alpha0 = 2|g| / R_q'' (at most 0.1), and the ladder takes the
+    # four steps below that boundary the Taylor fit uses.  R_q'' is the
+    # one-sided curvature on the side of the step; without a positive one
+    # alpha0 is 0.1.
     curv = at_q.curvatures[1 if step > 0 else 0]
     alpha0 = min(0.1, 2.0 * abs(g) / curv) if curv > 0.0 else 0.1
     ladder = []
-    for k in range(0 if stationary else 5):
+    for k in () if stationary else range(1, 5):
         alpha = alpha0 / 2.0**k
         x_k = x + alpha * step
         if box.contains(x_k):
             ladder.append(LadderPoint(alpha, worst(loss_p, mm, x_k) - rp0,
                                       worst(loss_q, q_solution, x_k) - rq0))
 
+    # the ladder descends in alpha: the head is the largest step that
+    # descends, and the fit takes its points ascending
     successes = [pt for pt in ladder if pt.delta_Rq < 0.0]
-    fit_pts = [pt for pt in successes if pt.delta_Rp != 0.0]
-    fit_pts = sorted(fit_pts, key=lambda pt: pt.alpha)[:4]
+    fit_pts = [pt for pt in reversed(successes) if pt.delta_Rp != 0.0]
     slope = None
     if len(fit_pts) >= 2:
         xs = np.log([pt.alpha for pt in fit_pts])
@@ -210,7 +212,7 @@ def refute_joint_minimaxity(
     else:
         verdict = Verdict.NO_DESCENT_IN_FAMILY
 
-    head = max(successes, key=lambda pt: pt.alpha) if successes else None
+    head = successes[0] if successes else None
     return RefutationCertificate(
         p=cls_p.p_hat,
         q=cls_q.p_hat,
@@ -227,7 +229,7 @@ def refute_joint_minimaxity(
     )
 
 
-def _descent_slope(at: WorstCaseSlopes, x: float, box: Interval) -> float:
+def _descent_slope(at: WorstCaseResult, x: float, box: Interval) -> float:
     """The slope at x that steepest descent sees: the inward one-sided slope
     at a face; inside, the one-sided slope that descends, or 0.0 where
     neither does (a kink that minimizes the profile)."""
@@ -239,24 +241,23 @@ def _descent_slope(at: WorstCaseSlopes, x: float, box: Interval) -> float:
     return right if right < 0.0 else left if left > 0.0 else 0.0
 
 
-def _check_shift(alpha: float, n: int, q: float) -> float:
-    """The input checks of both shift-risk functions; returns alpha."""
+def _check_shift(alpha: float, n: int, q: float) -> Tuple[float, GaussianLocationModel]:
+    """The input checks of both shift-risk functions, n by the model's own
+    rule; returns alpha and the model of n observations."""
     if _require_finite("q", q) <= 1:
         raise ValueError(f"q must be > 1, got {q}")
-    if not (n >= 1 and float(n).is_integer()):
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    return _require_finite("alpha", alpha)
+    model = GaussianLocationModel(n)
+    return _require_finite("alpha", alpha), model
 
 
 def mean_shift_risk(alpha: float, n: int = 1, q: float = 2.0) -> float:
     """E|Z/sqrt(n) - alpha|^q for standard normal Z: the quadrature risk of
     the mean shifted by alpha under the power-q loss at theta = 0, as a
     scalar function of the shift.  A non-finite q or alpha, q <= 1 or an n
-    that is not a positive integer is a ValueError, a risk that overflows
-    a NonFiniteRiskError.
+    that GaussianLocationModel refuses is a ValueError; a q above
+    risk.MAX_EXPONENT or a risk that overflows is a NonFiniteRiskError.
     """
-    alpha = _check_shift(alpha, n, q)
-    model = GaussianLocationModel(n)
+    alpha, model = _check_shift(alpha, n, q)
     return risk(model, AffineMean(1.0, -alpha), Power(p=float(q)), 0.0, Quadrature()).value
 
 
@@ -273,10 +274,10 @@ def mean_shift_risk_deriv(
     |alpha| = 1 so that it is not lost in rounding at large shifts.  The
     two must agree closely for q >= 1.5; the sign of the result is
     reported as computed.  Both modes check q, n and alpha as
-    mean_shift_risk does, and a derivative that is not finite is a
-    NonFiniteRiskError.
+    mean_shift_risk does, and a q above risk.MAX_EXPONENT or a derivative
+    that is not finite is a NonFiniteRiskError.
     """
-    alpha = _check_shift(alpha, n, q)
+    alpha, model = _check_shift(alpha, n, q)
     context = f"alpha={alpha}, n={n}, q={q}"
     if mode == "fd":
         h = 1e-5 * max(1.0, abs(alpha))
@@ -287,6 +288,7 @@ def mean_shift_risk_deriv(
         return _checked((up - dn) / (2.0 * h), context, "risk derivative")
     if mode != "analytic":
         raise ValueError(f"mode must be 'analytic' or 'fd', got {mode!r}")
+    _check_exponent(Power(p=q))
 
     def signed_power(t: np.ndarray) -> np.ndarray:
         return np.sign(t) * np.abs(t) ** (q - 1.0)
@@ -294,7 +296,7 @@ def mean_shift_risk_deriv(
     value = gaussian_expectation(
         signed_power,
         mu=-alpha,
-        s=1.0 / math.sqrt(n),
+        s=model.mean_sd,
         roots=(0.0,),
     )
     # + 0.0 normalizes -0.0 at symmetric shifts

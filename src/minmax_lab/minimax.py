@@ -30,12 +30,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, ClassVar, Dict, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .losses import LossSpec
 from .model import AffineMean, EstimatorSpec, GaussianLocationModel, Interval, SampleMedian
-from .risk import WorstCaseResult, WorstCaseSlopes, worst_case_risk, worst_case_slopes
+from .risk import WorstCaseResult, worst_case_risk, worst_case_slopes
 
 
 @dataclass(frozen=True)
@@ -129,10 +129,10 @@ MAXITER = 600
 
 @dataclass(frozen=True)
 class MinimaxResult:
-    """The family optimum.  `slope_pass` is the worst case at the optimum
-    with its one-sided slopes and curvatures in the free coordinate (None
-    for the median family's closed form); certificates reuse it, and it is
-    kept out of the JSON document."""
+    """The family optimum.  An affine solve's `worst_case` is its last
+    slope pass, so it carries the one-sided slopes and curvatures in the
+    free coordinate, which certificates reuse; the median family's closed
+    form has none."""
 
     SCHEMA: ClassVar[str] = "minmax-lab/minimax-result/v6"
 
@@ -141,7 +141,6 @@ class MinimaxResult:
     worst_case: WorstCaseResult
     search_iterations: int
     converged: bool
-    slope_pass: Optional[WorstCaseSlopes] = field(default=None, metadata={"json": False})
 
 
 class BoundedSearch(NamedTuple):
@@ -152,7 +151,7 @@ class BoundedSearch(NamedTuple):
     nit: int
     nfev: int
     success: bool
-    slope_pass: WorstCaseSlopes
+    worst_case: WorstCaseResult
 
 
 #: Relative step (and bracket) below which the search stops.
@@ -161,7 +160,7 @@ _XTOL = 1e-12
 
 # ROADMAP item 1 renames this search; the benchmark's tracer patches the name.
 def scipy_minimize(
-    slopes_at: Callable[[float], WorstCaseSlopes], breakpoints: Sequence[float], maxiter: int
+    slopes_at: Callable[[float], WorstCaseResult], breakpoints: Sequence[float], maxiter: int
 ) -> BoundedSearch:
     """Minimize a profile that is smooth between the sorted `breakpoints`
     (the first and last are its range ends) in at most `maxiter` passes.
@@ -176,11 +175,11 @@ def scipy_minimize(
     at the cap with the best point evaluated.
     """
     lo, hi = breakpoints[0], breakpoints[-1]
-    done: Dict[float, WorstCaseSlopes] = {}
+    done: Dict[float, WorstCaseResult] = {}
 
     def stop(x: float, success: bool) -> BoundedSearch:
         if not success:
-            x = min(done, key=lambda c: done[c].worst_case.sup_value)
+            x = min(done, key=lambda c: done[c].sup_value)
         return BoundedSearch(x, len(done), len(done), success, done[x])
 
     def optimal(x: float) -> bool:
@@ -203,7 +202,7 @@ def scipy_minimize(
         elif not ends:
             t = b
         else:
-            x = min(ends, key=lambda c: done[c].worst_case.sup_value)
+            x = min(ends, key=lambda c: done[c].sup_value)
             side = 1 if x == a else 0  # the one-sided slope into the bracket
             g, h = done[x].slopes[side], done[x].curvatures[side]
             step = g / h if h > 0.0 else math.nan
@@ -238,7 +237,7 @@ def worst_case_on_profile(
 def profile_slopes(
     model: GaussianLocationModel, family: FamilySpec, x: float, loss: LossSpec,
     theta_interval: Interval, at_x: Optional[WorstCaseResult] = None,
-) -> WorstCaseSlopes:
+) -> WorstCaseResult:
     """worst_case_on_profile(x) with its one-sided slopes and curvatures in x.
 
     An affine rule with gamma != 0 takes them from one Stein pass
@@ -265,7 +264,7 @@ def profile_slopes(
     right = (worst(hi) - r0) / (hi - x) if x < hi else left
     left = right if left is None else left
     curv = 2.0 * (right - left) / (hi - lo) if lo < x < hi else 0.0
-    return WorstCaseSlopes(at_x, (left, right), (curv, curv))
+    return replace(at_x, slopes=(left, right), curvatures=(curv, curv))
 
 
 def solve_minimax(
@@ -297,12 +296,10 @@ def solve_minimax(
                           theta_interval=theta_interval),
         family.breakpoints(theta_interval), maxiter,
     )
-    worst_case = search.slope_pass.worst_case
     return MinimaxResult(
         best_params=family.profile(search.x, theta_interval),
-        minimax_value=worst_case.sup_value,
-        worst_case=worst_case,
+        minimax_value=search.worst_case.sup_value,
+        worst_case=search.worst_case,
         search_iterations=search.nit,
         converged=search.success,
-        slope_pass=search.slope_pass,
     )

@@ -15,6 +15,7 @@ decides which rules have an exact law.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Tuple, Union
@@ -59,7 +60,9 @@ class Interval:
 class GaussianLocationModel:
     """n i.i.d. observations from Normal(theta, sigma^2) with known sigma.
 
-    The sample mean is then Normal(theta, sigma^2 / n).
+    The sample mean is then Normal(theta, sigma^2 / n).  n must be a
+    positive integer no larger than the largest float, since its scale
+    sigma / sqrt(n) is computed in floats.
     """
 
     n: int
@@ -72,6 +75,9 @@ class GaussianLocationModel:
             ok = False
         if not ok:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        if self.n > sys.float_info.max:
+            raise ValueError(f"n must be at most the largest float, "
+                             f"{sys.float_info.max!r}, got a larger integer")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "sigma", _require_finite("sigma", self.sigma))
         if self.sigma <= 0:
@@ -230,10 +236,11 @@ def _log_cdf(t: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _median_weight(n: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Density of Y = M / s_med relative to phi, where M is the median of n
-    standard normals and s_med = sqrt(pi / (2n)) (David & Nagaraja, *Order
-    Statistics*, 2003).  Scaling by s_med keeps Y near N(0, 1) for every n.
+def _median_law(n: int) -> Tuple[float, Callable[[np.ndarray], np.ndarray]]:
+    """(s_med, weight): the scale s_med = sqrt(pi / (2n)) and the density of
+    Y = M / s_med relative to phi, where M is the median of n standard
+    normals (David & Nagaraja, *Order Statistics*, 2003).  Scaling by s_med
+    keeps Y near N(0, 1) for every n.
 
     Odd n = 2k+1: M has density n!/(k!)^2 (Phi(m) Phi(-m))^k phi(m).  Even
     n = 2k: M = (X_(k) + X_(k+1)) / 2 has density 2 n!/((k-1)!)^2 / (2 pi)
@@ -250,7 +257,7 @@ def _median_weight(n: int) -> Callable[[np.ndarray], np.ndarray]:
         def weight(y):
             x = s * y
             return np.exp(const + k * (_log_cdf(x) + _log_cdf(-x)) + 0.5 * (y * y - x * x))
-        return weight
+        return s, weight
     const = math.log(s / math.sqrt(0.5 * math.pi)) + math.lgamma(n + 1) - 2 * math.lgamma(k)
     _, w, x1 = _leggauss(32)
 
@@ -264,7 +271,7 @@ def _median_weight(n: int) -> Callable[[np.ndarray], np.ndarray]:
         top = terms.max(axis=1)
         inner = np.log(0.5 * span * np.dot(np.exp(terms - top[:, None]), w)) + top
         return np.exp(const + inner + 0.5 * y * y - x * x)
-    return weight
+    return s, weight
 
 
 def error_law(
@@ -281,15 +288,15 @@ def error_law(
     |gamma| * sigma/sqrt(n); the symmetric normal makes this the same law as
     the signed version.  For SampleMedian(beta) it is beta + sigma * M for
     the median M of n standard normals, with Y = M / sqrt(pi / (2n)) and the
-    weight of `_median_weight`.  No other rule has an exact law, so any
+    weight of `_median_law`.  No other rule has an exact law, so any
     other spec raises QuadratureUnsupportedError.  An overflow comes back as
     an infinite mu or s; the risk is then not finite, and `risk.risk`
     reports that as NonFiniteRiskError.
     """
     check_estimator(est)
     if isinstance(est, SampleMedian):
-        s_med = math.sqrt(math.pi / (2 * model.n))
-        return est.beta, model.sigma * s_med, _median_weight(model.n)
+        s_med, weight = _median_law(model.n)
+        return est.beta, model.sigma * s_med, weight
     if not isinstance(est, AffineMean):
         raise QuadratureUnsupportedError(
             f"{type(est).__name__} has no exact Gaussian error law; "

@@ -33,7 +33,8 @@ from typing import Callable, Sequence, Tuple, Union
 
 import numpy as np
 
-#: Truncation point for the standard normal integral.
+#: Truncation point for the standard normal integral; it bounds the power
+#: exponents whose risks are integrated (risk.MAX_EXPONENT).
 Z_MAX = 15.0
 
 #: Default Gauss-Legendre node count per smooth segment.

@@ -28,9 +28,15 @@ SignPerturbed rules have neither structure, so worst_case_risk raises
 QuadratureUnsupportedError for them before evaluating any risk.  Their
 pointwise risk is still available from `risk`.
 
-`worst_case_slopes` is the same worst case of an affine rule together with
-its one-sided slopes and curvatures along a path in gamma, from the
-Hermite moments of the same quadrature pass (Stein's identity).
+`worst_case_slopes` is the same worst case of an affine rule, from the
+error law its sup method picked, with the one-sided slopes and curvatures
+along a path in gamma, from that pass's Hermite moments (Stein's identity).
+
+The kernel truncates at |z| = quadrature.Z_MAX = 15, which keeps E|Z|^p to
+2e-11 relative up to p = 100 but loses 3e-8 of it at p = 120, 9e-5 at
+p = 150 and 7/8 at p = 250.  A loss with a power term above
+`MAX_EXPONENT` = 100 is therefore a NonFiniteRiskError before any
+quadrature; Monte Carlo risks do not truncate and take any exponent.
 """
 
 from __future__ import annotations
@@ -38,12 +44,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
 from .errors import NonFiniteRiskError, QuadratureUnsupportedError
-from .losses import LossSpec, loss_breakpoints, loss_of_error
+from .losses import LossSpec, Power, Scaled, SumLoss, loss_breakpoints, loss_of_error
 from .model import (
     AffineMean,
     EstimatorSpec,
@@ -55,7 +61,7 @@ from .model import (
     error_draws,
     error_law,
 )
-from .quadrature import gaussian_expectation
+from .quadrature import Z_MAX, gaussian_expectation
 
 
 @dataclass(frozen=True)
@@ -90,12 +96,16 @@ class WorstCaseResult:
     """sup of the risk over a theta interval and where it was attained.
 
     `sup_method` is "constant" or "endpoints" (see the module docstring).
+    A slope pass also fills `slopes` and `curvatures`, each (left, right)
+    along a path of rules; they are neither compared nor written to JSON.
     """
 
     sup_value: float
     argmax_theta: float
     sup_method: str
     constant_in_theta: bool = field(init=False)
+    slopes: Optional[tuple] = field(default=None, compare=False, metadata={"json": False})
+    curvatures: Optional[tuple] = field(default=None, compare=False, metadata={"json": False})
 
     def __post_init__(self):
         object.__setattr__(self, "constant_in_theta", self.sup_method == "constant")
@@ -107,10 +117,35 @@ def _checked(value: float, context: str, what: str = "risk") -> float:
     return float(value)
 
 
-def _expected_loss(model, est, loss, theta, hermite=False):
-    """The quadrature risk at theta: one `gaussian_expectation` pass, with
-    its Hermite moments when `hermite` is set (an affine rule only)."""
-    mu, s, weight = error_law(model, est, theta)
+#: The largest power exponent the quadrature integrates (module docstring).
+MAX_EXPONENT = 100.0
+
+
+def _largest_exponent(loss: LossSpec) -> float:
+    """The largest p of the loss's c|t|^p terms; Huber grows like |t|."""
+    if isinstance(loss, Power):
+        return loss.p
+    if isinstance(loss, Scaled):
+        return _largest_exponent(loss.inner)
+    if isinstance(loss, SumLoss):
+        return max(_largest_exponent(term) for term in loss.terms)
+    return 1.0
+
+
+def _check_exponent(loss: LossSpec) -> None:
+    p = _largest_exponent(loss)
+    if p > MAX_EXPONENT:
+        raise NonFiniteRiskError(
+            f"a power exponent of {p!r} is above {MAX_EXPONENT}, where the "
+            f"quadrature's truncation at |z| = {Z_MAX} loses part of the risk"
+        )
+
+
+def _expected_loss(loss, law, hermite=False):
+    """The quadrature risk of an error law (mu, s, weight): one pass of
+    `gaussian_expectation`, with its Hermite moments when `hermite` is set."""
+    _check_exponent(loss)
+    mu, s, weight = law
     kinks, roots = loss_breakpoints(loss)
     # the loss argument is theta - delta = -(error), but every loss spec
     # is even bit for bit (|-t| = |t|, (-t)*(-t) = t*t) and its
@@ -136,11 +171,12 @@ def risk(
 
     A non-finite theta is a ValueError under either method; a risk that is
     not finite (including one from an overflowing error law) is a
-    NonFiniteRiskError.
+    NonFiniteRiskError, and so is a quadrature risk of a loss with a power
+    term above MAX_EXPONENT.
     """
     theta = _require_finite("theta", theta)
     if isinstance(method, Quadrature):
-        value = _expected_loss(model, est, loss, theta)
+        value = _expected_loss(loss, error_law(model, est, theta))
         return RiskEstimate(_checked(value, f"theta={theta}"))
     errs = error_draws(model, est, theta, method.samples, method.seed)
     losses = loss_of_error(loss, errs)
@@ -216,17 +252,19 @@ def golden_section_max(
 
 def _sup_theta(
     model: GaussianLocationModel, est: EstimatorSpec, theta_interval: Interval
-) -> Tuple[float, str]:
+) -> Tuple[float, str, tuple]:
     """The theta where the risk of est attains its sup over theta_interval,
-    and the sup method (see the module docstring)."""
+    the sup method (see the module docstring) and the error law there."""
     check_estimator(est)
     if isinstance(est, SampleMedian) or (isinstance(est, AffineMean) and est.gamma == 1.0):
-        return theta_interval.midpoint, "constant"
+        theta = theta_interval.midpoint
+        return theta, "constant", error_law(model, est, theta)
     if isinstance(est, AffineMean):
         lo, hi = theta_interval.lo, theta_interval.hi
         # the risk is nondecreasing in |mu(theta)|; ties go to lo
-        mu_lo, mu_hi = error_law(model, est, lo)[0], error_law(model, est, hi)[0]
-        return (hi if abs(mu_hi) > abs(mu_lo) else lo), "endpoints"
+        law_lo, law_hi = error_law(model, est, lo), error_law(model, est, hi)
+        theta, law = (hi, law_hi) if abs(law_hi[0]) > abs(law_lo[0]) else (lo, law_lo)
+        return theta, "endpoints", law
     raise QuadratureUnsupportedError(
         f"{type(est).__name__} has no exact worst case: only theta-free "
         "rules and affine rules have one"
@@ -245,18 +283,8 @@ def worst_case_risk(
     A SignPerturbed rule has no such structure and raises
     QuadratureUnsupportedError.
     """
-    theta, sup_method = _sup_theta(model, est, theta_interval)
+    theta, sup_method, _ = _sup_theta(model, est, theta_interval)
     return WorstCaseResult(risk(model, est, loss, theta, Quadrature()).value, theta, sup_method)
-
-
-@dataclass(frozen=True)
-class WorstCaseSlopes:
-    """A worst case with its one-sided slopes and curvatures, each as
-    (left, right), along a path of rules."""
-
-    worst_case: WorstCaseResult
-    slopes: Tuple[float, float]
-    curvatures: Tuple[float, float]
 
 
 def worst_case_slopes(
@@ -265,7 +293,7 @@ def worst_case_slopes(
     loss: LossSpec,
     theta_interval: Interval,
     a_slopes: Tuple[float, float],
-) -> WorstCaseSlopes:
+) -> WorstCaseResult:
     """worst_case_risk of an affine rule with gamma != 0, with its one-sided
     slopes and curvatures along a path on which gamma moves at unit speed.
 
@@ -281,9 +309,9 @@ def worst_case_slopes(
     """
     if not isinstance(est, AffineMean) or est.gamma == 0.0:
         raise ValueError(f"slopes need an affine rule with gamma != 0, got {est!r}")
-    theta, sup_method = _sup_theta(model, est, theta_interval)
-    mu, s, _ = error_law(model, est, theta)
-    value, (m1, m2, m3, m4) = _expected_loss(model, est, loss, theta, hermite=True)
+    theta, sup_method, law = _sup_theta(model, est, theta_interval)
+    mu, s, _ = law
+    value, (m1, m2, m3, m4) = _expected_loss(loss, law, hermite=True)
     value = _checked(value, f"theta={theta}")
     sign = 0.0 if mu == 0.0 else math.copysign(1.0, mu)
     r_a, r_s = sign * m1 / s, m2 / s
@@ -293,4 +321,4 @@ def worst_case_slopes(
     curvatures = tuple(r_aa * da * da + 2.0 * r_as * da * ds + r_ss * ds * ds for da in a_slopes)
     for v in slopes + curvatures:
         _checked(v, f"theta={theta}", "risk derivative")
-    return WorstCaseSlopes(WorstCaseResult(value, theta, sup_method), slopes, curvatures)
+    return WorstCaseResult(value, theta, sup_method, slopes=slopes, curvatures=curvatures)

@@ -557,7 +557,7 @@ class TestExclusivityCommand:
         )
         assert main(["exclusivity", "--config", str(cfg), "--out", str(out_dir)]) == 0
         report = json.loads((out_dir / "exclusivity.json").read_text())["result"]
-        assert len(report["witnesses"][0]["ladder"]) <= 5
+        assert len(report["witnesses"][0]["ladder"]) <= 4
 
     def test_single_exponent_is_config_error(self, write_config, out_dir):
         cfg = write_config(
@@ -828,6 +828,9 @@ MISSPELLED_SECTIONS = ["[classfy]\nlosses = squared", "[rn]\nseed = 1", "[minmax
 FAMILY = "[family]\nkind = affine_mean\ngamma_lo = 0\ngamma_hi = 1.5\nbeta_lo = -1\nbeta_hi = 1\n"
 MC_RISK = "[risk]\nestimator = mean\nloss = squared\nthetas = 0\nmethod = monte_carlo\nsamples = 10"
 MEDIAN_SOLVE = "[family]\nkind = median_shift\nbeta_lo = -1\nbeta_hi = 1\n[minimax]\nloss = squared"
+# an integer n beyond the float range, whose sigma / sqrt(n) once overflowed
+HUGE_N = "n = 1" + "0" * 400
+STEEP_LOSS = "[loss steep]\nkind = power\np = 150\n"
 
 # Values that once crashed, ran, or failed without naming their section.
 # A command with a flag runs with that flag; a section a case sets
@@ -851,6 +854,22 @@ BAD_VALUES = [
     ("minimax", "[run]\nseed = -1\n" + MEDIAN_SOLVE, 2, "[run] seed must be >= 0"),
     ("risk --seed -1", MC_RISK, 2, "--seed must be >= 0"),
     ("minimax --seed -1", MEDIAN_SOLVE, 2, "--seed must be >= 0"),
+    ("risk", f"[model]\n{HUGE_N}\n[risk]\nestimator = mean\nloss = squared\nthetas = 0", 2,
+     "[model]: n must be at most the largest float"),
+    ("minimax", f"[model]\n{HUGE_N}\n{FAMILY}[minimax]\nloss = squared", 2,
+     "[model]: n must be at most the largest float"),
+    ("shift-risk", f"[model]\n{HUGE_N}\n[shift_risk]\nq = 2\nalphas = 0", 2,
+     "[model]: n must be at most the largest float"),
+    ("shift-risk", f"[shift_risk]\n{HUGE_N}\nq = 2\nalphas = 0", 2,
+     "[shift_risk]: n must be at most the largest float"),
+    # a power above the quadrature's exponent bound is refused before any
+    # risk is integrated, where the truncated kernel would understate it
+    ("risk", STEEP_LOSS + "[risk]\nestimator = mean\nloss = steep\nthetas = 0", 3,
+     "numerical error: a power exponent of 150.0 is above 100.0"),
+    ("minimax", STEEP_LOSS + FAMILY + "[minimax]\nloss = steep", 3,
+     "numerical error: a power exponent of 150.0 is above 100.0"),
+    ("shift-risk", "[shift_risk]\nq = 150\nalphas = 0", 3,
+     "numerical error: a power exponent of 150.0 is above 100.0"),
     # a family range whose width overflows, which the search steps through
     ("minimax", "[family]\nkind = affine_mean\ngamma_lo = -1e308\ngamma_hi = 1e308\n"
                 "beta_lo = -1\nbeta_hi = 1\n[minimax]\nloss = squared",

@@ -17,7 +17,12 @@ from minmax_lab.exclusivity import (
     refute_joint_minimaxity,
 )
 from minmax_lab.losses import Power, Scaled, scale_loss
-from minmax_lab.minimax import AffineMeanFamily, MedianShiftFamily, solve_minimax
+from minmax_lab.minimax import (
+    AffineMeanFamily,
+    MedianShiftFamily,
+    profile_slopes,
+    solve_minimax,
+)
 from minmax_lab.model import AffineMean, GaussianLocationModel, Interval, SignPerturbed
 from minmax_lab.risk import MonteCarlo, risk
 
@@ -93,20 +98,33 @@ class TestRefutation:
         alphas = [pt.alpha for pt in cert.ladder]
         assert alphas == sorted(alphas, reverse=True)
 
+    def test_ladder_is_the_four_steps_the_fit_uses(self):
+        # alpha0 = 2|g| / R_q'' is where the local quadratic stops descending;
+        # the ladder is alpha0/2 .. alpha0/16, and its largest descending
+        # step heads the certificate
+        cert = refute_joint_minimaxity(M1, FAMILY, Power(2, 1), Power(4, 1), THETA3)
+        at_q = profile_slopes(M1, FAMILY, cert.delta_star_params[0], Power(4, 1), THETA3)
+        alpha0 = min(0.1, 2.0 * abs(cert.gradient_q[0]) / at_q.curvatures[0])
+        assert [pt.alpha for pt in cert.ladder] == [alpha0 / 2**k for k in range(1, 5)]
+        assert all(pt.delta_Rq < 0.0 for pt in cert.ladder)
+        head = cert.ladder[0]
+        assert (cert.alpha, cert.delta_Rq, cert.delta_Rp) == (
+            head.alpha, head.delta_Rq, head.delta_Rp)
+
     def test_refutation_reuses_its_q_risks(self, monkeypatch):
         # one q slope pass gives the slope, the curvature and the stationarity
         # test, the p-slope comes with the solve; then two worst cases per
-        # rung of five
+        # rung of four
         p_solution = solve_minimax(M1, FAMILY, Power(2, 1), THETA3)
         seen = record_evaluations(monkeypatch)
         cert = refute_joint_minimaxity(
             M1, FAMILY, Power(2, 1), Power(4, 1), THETA3, p_solution=p_solution
         )
-        assert cert.verdict is Verdict.REFUTED and len(cert.ladder) == 5
-        assert len(seen) == len(set(seen)) == 11
+        assert cert.verdict is Verdict.REFUTED and len(cert.ladder) == 4
+        assert len(seen) == len(set(seen)) == 9
         assert seen[0] == (Power(4, 1), p_solution.best_params[0])
 
-    @pytest.mark.parametrize("gamma_hi, calls", [(0.85, 1), (0.9, 11)])
+    @pytest.mark.parametrize("gamma_hi, calls", [(0.85, 1), (0.9, 9)])
     def test_face_point_is_evaluated_once_per_loss(self, monkeypatch, gamma_hi, calls):
         # at a face the one q slope pass is one-sided and the p-slope is the
         # solve's, so no (loss, point) is evaluated twice; the ladder adds
@@ -120,7 +138,7 @@ class TestRefutation:
         assert cert.delta_star_params[0] == gamma_hi
         assert len(seen) == calls and len(set(seen)) == calls
         # the p-slope is the solve's inward one-sided slope at the face
-        assert cert.gradient_p_norm == abs(p_solution.slope_pass.slopes[0])
+        assert cert.gradient_p_norm == abs(p_solution.worst_case.slopes[0])
         assert cert.gradient_p_norm == pytest.approx(abs(20 * gamma_hi - 18), abs=1e-12)
 
     def test_same_class_pair_rejected(self):
@@ -420,6 +438,21 @@ class TestPartition:
 class TestMedianCertificates:
     """The median family's optimum is closed-form and its risks exact, so
     the symmetric case is stationary for both classes at beta = 0."""
+
+    def test_quotients_reuse_both_solves_worst_cases(self, monkeypatch):
+        # the slope quotients at the shared optimum evaluate only x +- h: the
+        # worst case at x is each class solve's own
+        module = importlib.import_module("minmax_lab.minimax")
+        inner, seen = module.worst_case_on_profile, []
+
+        def recording(model, family, x, loss, *args):
+            seen.append((loss, x))
+            return inner(model, family, x, loss, *args)
+
+        monkeypatch.setattr(module, "worst_case_on_profile", recording)
+        family = MedianShiftFamily(beta_range=Interval(-1, 1))
+        check_exclusivity_partition(GaussianLocationModel(n=5), family, [2, 4], THETA3)
+        assert len(seen) == len(set(seen)) == 6
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_symmetric_box_is_stationary_for_both_at_zero(self, n):

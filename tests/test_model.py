@@ -1,6 +1,7 @@
 """Model, estimator specs, error draws and the exact error law."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -51,7 +52,12 @@ class TestValidation:
         for n in (0, -1, 2.5, math.inf, -math.inf, math.nan, "3", None):
             with pytest.raises(ValueError, match="n must be a positive integer, got"):
                 GaussianLocationModel(n=n)
-        assert GaussianLocationModel(n=10**400).n == 10**400
+        # an integer beyond the float range has no scale sigma / sqrt(n)
+        for n in (10**400, 2**1024):
+            with pytest.raises(ValueError, match="n must be at most the largest float"):
+                GaussianLocationModel(n=n)
+        big = int(sys.float_info.max)
+        assert GaussianLocationModel(n=big).mean_sd == 1.0 / math.sqrt(big)
         assert GaussianLocationModel(n=4.0).n == 4
         with pytest.raises(ValueError):
             GaussianLocationModel(n=3, sigma=0.0)

@@ -1,6 +1,7 @@
 """Risk evaluation: quadrature vs oracles, Monte Carlo agreement, worst case."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from minmax_lab.risk import (
     golden_section_max,
     risk,
     worst_case_risk,
+    worst_case_slopes,
 )
 
 from oracles import (
@@ -48,6 +50,8 @@ from oracles import (
 
 M1 = GaussianLocationModel(n=1)
 THETA3 = Interval(-3, 3)
+# the module, which the package's `risk` function shadows as an attribute
+risk_module = sys.modules["minmax_lab.risk"]
 
 
 class TestQuadratureRisk:
@@ -111,6 +115,28 @@ class TestQuadratureRisk:
     def test_nonfinite_risk_raises(self):
         with pytest.raises(NonFiniteRiskError):
             risk(M1, AffineMean(1e200, 0), Power(4, 1), 1.0, Quadrature())
+
+    @pytest.mark.parametrize("loss", [
+        Power(101),
+        Scaled(2.0, Power(120)),
+        SumLoss([Power(2), Huber(1.0), Scaled(3.0, Power(150))]),
+    ], ids=repr)
+    def test_exponent_above_the_bound_is_refused(self, loss, monkeypatch):
+        # the kernel's truncation at |z| = 15 would understate such a risk
+        # (8 times at p = 250), so no quadrature runs at all
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("a quadrature ran")
+
+        monkeypatch.setattr(risk_module, "gaussian_expectation", no_quadrature)
+        est = AffineMean(0.8, 0.1)
+        with pytest.raises(NonFiniteRiskError, match="is above 100.0"):
+            risk(M1, est, loss, 0.5, Quadrature())
+        with pytest.raises(NonFiniteRiskError, match="is above 100.0"):
+            worst_case_risk(M1, est, loss, THETA3)
+        with pytest.raises(NonFiniteRiskError, match="is above 100.0"):
+            worst_case_slopes(M1, est, loss, THETA3, (1.0, 1.0))
+        # Monte Carlo does not truncate
+        assert math.isfinite(risk(M1, est, loss, 0.5, MonteCarlo(100, 1)).value)
 
 
 class TestMonteCarloAgreement:

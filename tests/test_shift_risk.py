@@ -9,6 +9,7 @@ mu = -alpha, s = 1/sqrt(n).
 
 import math
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -126,3 +127,33 @@ def test_every_mode_raises_where_both_oracles_overflow(alpha, q):
     for call in calls(alpha, 1, q).values():
         with pytest.raises(NonFiniteRiskError):
             call()
+
+
+# The kernel truncates at |z| = 15, which keeps E|Z|^q to 2e-11 relative up
+# to q = 100; at alpha = 0 the bulk of |t|^q phi(z) lies farthest out (near
+# z = sqrt(q)), so a zero shift bounds the truncation error for every alpha.
+@settings(deadline=None)
+@given(n=SIZES, q=st.floats(1.1, 100.0))
+@example(n=1, q=100.0)
+def test_value_up_to_the_exponent_bound_is_the_closed_form(n, q):
+    expected = closed_form_power_risk(0.0, 1.0 / math.sqrt(n), q)
+    assert mean_shift_risk(0.0, n, q) == pytest.approx(expected, rel=1e-10)
+
+
+def no_quadrature(*args, **kwargs):
+    raise AssertionError("a quadrature ran")
+
+
+@settings(deadline=None)
+@given(alpha=st.one_of(st.just(0.0), shifts(-3.0, 3.0)), n=SIZES,
+       q=st.floats(100.0, 1000.0, exclude_min=True))
+# the truncated kernel gave 1/8 of the risk at q = 250, and a finite value
+# at q = 700, n = 30, where the true risk overflows
+@example(alpha=0.0, n=1, q=250.0)
+@example(alpha=0.0, n=30, q=700.0)
+def test_exponent_above_the_bound_is_refused_before_any_quadrature(alpha, n, q):
+    with mock.patch("minmax_lab.risk.gaussian_expectation", no_quadrature), \
+            mock.patch("minmax_lab.exclusivity.gaussian_expectation", no_quadrature):
+        for call in calls(alpha, n, q).values():
+            with pytest.raises(NonFiniteRiskError, match="power exponent .* is above 100.0"):
+                call()
