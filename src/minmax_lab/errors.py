@@ -28,9 +28,10 @@ class QuadratureUnsupportedError(MinmaxLabError):
 
 class NonFiniteRiskError(MinmaxLabError):
     """A risk evaluation, or a result value derived from risks (such as a
-    difference quotient of two of them), is not finite, or a quadrature
-    risk cannot be trusted to be: the loss has a power term above
-    risk.MAX_EXPONENT, whose risk the kernel's truncation understates."""
+    difference quotient of two of them), is not finite, or an exact risk
+    is refused: the loss has a power term above risk.MAX_EXPONENT, the one
+    bound for every rule, whose risk the median kernel's truncation would
+    understate."""
 
 
 class InsufficientClassesError(MinmaxLabError, ValueError):

@@ -5,13 +5,14 @@ distinct local exponents p < q (both > 1), it solves the family minimax
 problem for the p-loss and walks downhill for the q-loss in the family's
 free coordinate x, along the profile the solver searched.  One slope pass
 of the q-loss at x gives its worst case, `gradient_q` and R_q'' exactly
-(Stein's identity, risk.worst_case_slopes): the steepest-descent slope,
-one-sided at a face or a kink of the profile, and `direction` is the sign
-of the step in x.  `gradient_p_norm` is the same slope of the p-loss, from
-the p-solve's own `worst_case` record.  The median family and gamma = 0
-(s = 0) take difference quotients with h = 1e-4 instead.  The steps alpha
-are alpha0/2 down to alpha0/16 below alpha0 = 2|slope| / R_q'' (at most
-0.1), where the local quadratic of the q-risk stops descending:
+(from the closed form's partials, risk.worst_case_slopes): the
+steepest-descent slope, one-sided at a face or a kink of the profile, and
+`direction` is the sign of the step in x.  `gradient_p_norm` is the same
+slope of the p-loss, from the p-solve's own `worst_case` record.  The
+median family and gamma = 0 (s = 0) take difference quotients with
+h = 1e-4 instead.  The steps alpha are alpha0/2 down to alpha0/16 below
+alpha0 = 2|slope| / R_q'' (at most 0.1), where the local quadratic of the
+q-risk stops descending:
 
   * a strictly negative q-risk change at some step alpha, with the p-risk
     degrading only quadratically (fitted slope of |delta R_p| vs alpha near
@@ -40,6 +41,7 @@ from typing import ClassVar, Literal, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .closed_form import gaussian_risk
 from .errors import ExponentPreconditionError, InsufficientClassesError
 # loss_of_error is not called here; the benchmark's tracer patches the name
 from .losses import LossSpec, Power, classify_exponent, loss_of_error  # noqa: F401
@@ -52,7 +54,8 @@ from .minimax import (
     solve_minimax,
     worst_case_on_profile,
 )
-from .quadrature import gaussian_expectation
+# gaussian_expectation is not called here either; the tracer patches it too
+from .quadrature import gaussian_expectation  # noqa: F401
 # the benchmark's tracer also patches worst_case_risk under this module
 from .risk import Quadrature, WorstCaseResult, _check_exponent, _checked, risk, worst_case_risk
 
@@ -251,7 +254,7 @@ def _check_shift(alpha: float, n: int, q: float) -> Tuple[float, GaussianLocatio
 
 
 def mean_shift_risk(alpha: float, n: int = 1, q: float = 2.0) -> float:
-    """E|Z/sqrt(n) - alpha|^q for standard normal Z: the quadrature risk of
+    """E|Z/sqrt(n) - alpha|^q for standard normal Z: the exact risk of
     the mean shifted by alpha under the power-q loss at theta = 0, as a
     scalar function of the shift.  A non-finite q or alpha, q <= 1 or an n
     that GaussianLocationModel refuses is a ValueError; a q above
@@ -269,7 +272,8 @@ def mean_shift_risk_deriv(
 ) -> float:
     """d/d(alpha) of mean_shift_risk.
 
-    analytic: -q * E[(Z/sqrt(n) - alpha) * |Z/sqrt(n) - alpha|^(q-2)];
+    analytic: -R_mu of the closed form R(mu, s) = E|mu + s*Z|^q at
+    mu = -alpha, s = 1/sqrt(n) (closed_form.gaussian_risk);
     fd: central difference with step 1e-5 * max(1, |alpha|), relative past
     |alpha| = 1 so that it is not lost in rounding at large shifts.  The
     two must agree closely for q >= 1.5; the sign of the result is
@@ -288,19 +292,11 @@ def mean_shift_risk_deriv(
         return _checked((up - dn) / (2.0 * h), context, "risk derivative")
     if mode != "analytic":
         raise ValueError(f"mode must be 'analytic' or 'fd', got {mode!r}")
-    _check_exponent(Power(p=q))
-
-    def signed_power(t: np.ndarray) -> np.ndarray:
-        return np.sign(t) * np.abs(t) ** (q - 1.0)
-
-    value = gaussian_expectation(
-        signed_power,
-        mu=-alpha,
-        s=model.mean_sd,
-        roots=(0.0,),
-    )
+    loss = Power(p=q)
+    _check_exponent(loss)
+    r_mu = gaussian_risk(loss, -alpha, model.mean_sd)[1]
     # + 0.0 normalizes -0.0 at symmetric shifts
-    return _checked(-q * value + 0.0, context, "risk derivative")
+    return _checked(-r_mu + 0.0, context, "risk derivative")
 
 
 @dataclass(frozen=True)

@@ -104,7 +104,7 @@ def loss_breakpoints(loss: LossSpec) -> Tuple[Tuple[float, ...], Tuple[float, ..
 
     Returns (kinks, roots): `roots` are zeros with possibly fractional-power
     behaviour (t = 0 for power terms), `kinks` are plain piecewise joins
-    (the Huber elbow).  The quadrature engine splits integrals there.
+    (the Huber elbow).  The median's quadrature splits integrals there.
     """
     if isinstance(loss, Power):
         return (), (0.0,)

@@ -240,13 +240,13 @@ def profile_slopes(
 ) -> WorstCaseResult:
     """worst_case_on_profile(x) with its one-sided slopes and curvatures in x.
 
-    An affine rule with gamma != 0 takes them from one Stein pass
-    (`worst_case_slopes`).  The median family, whose error is not Gaussian,
-    and gamma = 0, where s = 0, take difference quotients with h = 1e-4
-    instead: one-sided on each side (the inward one on both at a face), and
-    the second difference as curvature inside the range, 0 (none) at a
-    face.  `at_x`, when given, is the worst case at x, which the quotients
-    then do not evaluate again.
+    An affine rule with gamma != 0 takes them from the closed form's
+    partials at its worst case (`worst_case_slopes`).  The median family,
+    whose error is not Gaussian, and gamma = 0, where s = 0, take
+    difference quotients with h = 1e-4 instead: one-sided on each side (the
+    inward one on both at a face), and the second difference as curvature
+    inside the range, 0 (none) at a face.  `at_x`, when given, is the worst
+    case at x, which the quotients then do not evaluate again.
     """
     if isinstance(family, AffineMeanFamily) and x != 0.0:
         est = family.make(family.profile(x, theta_interval))

@@ -1,5 +1,8 @@
 """Gaussian expectations E[f(mu + s*Z)] by segmented Gauss-Legendre quadrature.
 
+The risk module integrates with it only where no closed form exists: the
+sample median's law, whose density weight multiplies the loss in f.
+
 The integrand f is only piecewise smooth: power-type losses have a
 (possibly fractional-power) zero at the error root mu + s*z = 0 and Huber
 losses have elbow kinks.  The integral is therefore split at every such
@@ -14,12 +17,6 @@ bits as integrating the segments one at a time.  The Legendre rule is
 cached together with x + 1, and a table whose rows all end at a root
 (every power loss) needs no row selection.
 
-With `hermite=True` the same pass also returns E[f(mu + s*Z) He_k(Z)] for
-the probabilists' Hermite polynomials He_1..He_4: extra weighted sums over
-the standardized nodes it already has.  By Stein's identity (Stein 1981,
-*Ann. Statist.* 9) they give the derivatives of the expectation in mu and
-s without differentiating f (see `risk.worst_case_slopes`).
-
 Integration is truncated at |z| = 15 where the standard normal density is
 ~5e-50: invisible next to any polynomially growing loss at double
 precision.
@@ -29,7 +26,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable, Sequence, Tuple, Union
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -60,23 +57,18 @@ def gaussian_expectation(
     nodes: int = DEFAULT_NODES,
     kinks: Sequence[float] = (),
     roots: Sequence[float] = (),
-    hermite: bool = False,
-) -> Union[float, Tuple[float, Tuple[float, float, float, float]]]:
+) -> float:
     """E[f(mu + s*Z)] for standard normal Z.
 
     `kinks` and `roots` are values of t = mu + s*z where f is not smooth;
     `roots` get the singularity-absorbing substitution.  With s = 0 the law
-    is a point mass and the expectation is f(mu) exactly.  With `hermite`
-    the result is (value, (E[f He_1(Z)], ..., E[f He_4(Z)])), the value
-    bit-identical to the one without it; that needs s > 0.
+    is a point mass and the expectation is f(mu) exactly.
     """
     mu = float(mu)
     s = float(s)
     if s < 0:
         raise ValueError(f"s must be >= 0, got {s}")
     if s == 0.0:
-        if hermite:
-            raise ValueError("Hermite moments need s > 0")
         return float(np.asarray(f(np.asarray([mu])), dtype=float)[0])
 
     marks = []
@@ -124,10 +116,6 @@ def gaussian_expectation(
     vals *= z
     np.exp(vals, out=vals)
     vals *= _INV_SQRT_2PI
-    if hermite:
-        # He_1..He_4 at the standardized nodes, before z becomes mu + s*z
-        z2 = z * z
-        he = np.stack((z, z2 - 1.0, z * (z2 - 3.0), z2 * (z2 - 6.0) + 3.0))
     z *= s
     z += mu
     vals *= np.reshape(f(z.ravel()), z.shape)
@@ -137,10 +125,5 @@ def gaussian_expectation(
     total = 0.0
     for row, vals_i in zip(rows, vals):
         total += row[2] * float(np.dot(w, vals_i))
-    if not hermite:
-        return total
-    vals *= w
-    vals *= table[:, 2, None]
-    moments = np.reshape(he, (4, -1)) @ vals.ravel()
-    return total, tuple(float(m) for m in moments)
+    return total
 

@@ -2,16 +2,17 @@
 
 Risk at theta is E[L(theta, delta(X))] under the model at theta.  Affine
 rules and the sample median have an exact error law mu + s*Y
-(`model.error_law`): Y is standard normal for an affine rule, and has the
-density weight(y) * phi(y) for the median, so the weight multiplies the
-loss in the integrand.  The expectation is a segmented Gauss-Legendre
-integral (machine precision at 200 nodes per segment; see quadrature.py).
-Sign-perturbed rules have no such law, so Quadrature raises
-QuadratureUnsupportedError for them and they are handled by seeded Monte
-Carlo.
+(`model.error_law`).  For an affine rule Y is standard normal, and the risk
+E L(mu + s*Z) is closed-form (closed_form.py: a hypergeometric series for
+a power loss, normal moments for Huber).  For the median Y has the density
+weight(y) * phi(y), so the weight multiplies the loss in the integrand of a
+segmented Gauss-Legendre integral (machine precision at 200 nodes per
+segment; see quadrature.py).  Sign-perturbed rules have no such law, so
+Quadrature raises QuadratureUnsupportedError for them and they are handled
+by seeded Monte Carlo.
 
 Worst-case risk is always exact: it uses the structure of the estimator,
-evaluates one quadrature risk, and records which sup method it used
+evaluates one exact risk, and records which sup method it used
 (`WorstCaseResult.sup_method`):
 
   * "constant": the error law does not depend on theta (SampleMedian, and
@@ -30,24 +31,26 @@ pointwise risk is still available from `risk`.
 
 `worst_case_slopes` is the same worst case of an affine rule, from the
 error law its sup method picked, with the one-sided slopes and curvatures
-along a path in gamma, from that pass's Hermite moments (Stein's identity).
+along a path in gamma, from the closed form's partials in mu and s.
 
-The kernel truncates at |z| = quadrature.Z_MAX = 15, which keeps E|Z|^p to
-2e-11 relative up to p = 100 but loses 3e-8 of it at p = 120, 9e-5 at
-p = 150 and 7/8 at p = 250.  A loss with a power term above
-`MAX_EXPONENT` = 100 is therefore a NonFiniteRiskError before any
-quadrature; Monte Carlo risks do not truncate and take any exponent.
+The median's kernel truncates at |z| = quadrature.Z_MAX = 15, which keeps
+E|Z|^p to 2e-11 relative up to p = 100 but loses 3e-8 of it at p = 120,
+9e-5 at p = 150 and 7/8 at p = 250.  A loss with a power term above
+`MAX_EXPONENT` = 100 is therefore a NonFiniteRiskError before any exact
+risk, affine or median, so that one bound holds for every rule (and the
+exit code for such a config does not depend on the rule); Monte Carlo
+risks do not truncate and take any exponent.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
+from .closed_form import gaussian_risk
 from .errors import NonFiniteRiskError, QuadratureUnsupportedError
 from .losses import LossSpec, Power, Scaled, SumLoss, loss_breakpoints, loss_of_error
 from .model import (
@@ -66,7 +69,8 @@ from .quadrature import Z_MAX, gaussian_expectation
 
 @dataclass(frozen=True)
 class Quadrature:
-    """Deterministic integration against the exact Gaussian error law."""
+    """Deterministic risk from the exact error law: closed-form for an
+    affine rule, integrated for the median."""
 
 
 @dataclass(frozen=True)
@@ -117,7 +121,7 @@ def _checked(value: float, context: str, what: str = "risk") -> float:
     return float(value)
 
 
-#: The largest power exponent the quadrature integrates (module docstring).
+#: The largest power exponent of an exact risk (module docstring).
 MAX_EXPONENT = 100.0
 
 
@@ -136,28 +140,32 @@ def _check_exponent(loss: LossSpec) -> None:
     p = _largest_exponent(loss)
     if p > MAX_EXPONENT:
         raise NonFiniteRiskError(
-            f"a power exponent of {p!r} is above {MAX_EXPONENT}, where the "
-            f"quadrature's truncation at |z| = {Z_MAX} loses part of the risk"
+            f"a power exponent of {p!r} is above {MAX_EXPONENT}, the bound of the "
+            f"exact risks (the median kernel truncates at |z| = {Z_MAX})"
         )
 
 
-def _expected_loss(loss, law, hermite=False):
-    """The quadrature risk of an error law (mu, s, weight): one pass of
-    `gaussian_expectation`, with its Hermite moments when `hermite` is set."""
+def _expected_loss(loss, law):
+    """The exact risk of an error law (mu, s, weight): closed-form for a
+    Gaussian law (no weight), one pass of `gaussian_expectation` for the
+    median's."""
     _check_exponent(loss)
     mu, s, weight = law
+    if weight is None:
+        if s == 0.0:
+            # a point mass: the loss at mu itself
+            return float(loss_of_error(loss, np.asarray([mu]))[0])
+        return gaussian_risk(loss, mu, s)[0]
     kinks, roots = loss_breakpoints(loss)
+
     # the loss argument is theta - delta = -(error), but every loss spec
     # is even bit for bit (|-t| = |t|, (-t)*(-t) = t*t) and its
-    # breakpoints are symmetric, so the error goes in unnegated here and
-    # in the Monte Carlo branch of `risk`;
+    # breakpoints are symmetric, so the error goes in unnegated here, in
+    # the closed form and in the Monte Carlo branch of `risk`;
     # tests/test_losses.py::test_loss_of_error_is_even_bit_for_bit pins it
-    if weight is None:
-        integrand = functools.partial(loss_of_error, loss)
-    else:
-        def integrand(t):
-            return loss_of_error(loss, t) * weight((t - mu) / s)
-    return gaussian_expectation(integrand, mu, s, kinks=kinks, roots=roots, hermite=hermite)
+    def integrand(t):
+        return loss_of_error(loss, t) * weight((t - mu) / s)
+    return gaussian_expectation(integrand, mu, s, kinks=kinks, roots=roots)
 
 
 def risk(
@@ -171,7 +179,7 @@ def risk(
 
     A non-finite theta is a ValueError under either method; a risk that is
     not finite (including one from an overflowing error law) is a
-    NonFiniteRiskError, and so is a quadrature risk of a loss with a power
+    NonFiniteRiskError, and so is a Quadrature risk of a loss with a power
     term above MAX_EXPONENT.
     """
     theta = _require_finite("theta", theta)
@@ -300,22 +308,20 @@ def worst_case_slopes(
     The worst case is R(a, s) = E L(a + s*Z) at a = max |mu| over the
     interval, s = |gamma| sigma/sqrt(n).  Both are affine on each side of
     the rule: `a_slopes` gives a's slopes (left, right), and s has slope
-    sign(gamma) sigma/sqrt(n).  The chain rule takes the partials from the
-    Hermite moments m_k = E[L He_k(Z)] of the one pass (Stein's identity):
-    R_mu = m_1/s, R_s = m_2/s, R_mumu = m_2/s^2, R_mus = m_3/s^2 and
-    R_ss = (m_2 + m_4)/s^2, with R_a = sign(mu) R_mu (0 at mu = 0, where R
-    is even in mu).  A non-finite value, slope or curvature is a
+    sign(gamma) sigma/sqrt(n).  The chain rule takes the closed form's
+    partials R_mu, R_s, R_mumu, R_mus and R_ss (closed_form.gaussian_risk),
+    with R_a = sign(mu) R_mu and R_as = sign(mu) R_mus (0 at mu = 0, where
+    R is even in mu).  A non-finite value, slope or curvature is a
     NonFiniteRiskError.
     """
     if not isinstance(est, AffineMean) or est.gamma == 0.0:
         raise ValueError(f"slopes need an affine rule with gamma != 0, got {est!r}")
-    theta, sup_method, law = _sup_theta(model, est, theta_interval)
-    mu, s, _ = law
-    value, (m1, m2, m3, m4) = _expected_loss(loss, law, hermite=True)
+    theta, sup_method, (mu, s, _) = _sup_theta(model, est, theta_interval)
+    _check_exponent(loss)
+    value, r_mu, r_s, r_aa, r_mus, r_ss = gaussian_risk(loss, mu, s)
     value = _checked(value, f"theta={theta}")
     sign = 0.0 if mu == 0.0 else math.copysign(1.0, mu)
-    r_a, r_s = sign * m1 / s, m2 / s
-    r_aa, r_as, r_ss = m2 / s / s, sign * m3 / s / s, (m2 + m4) / s / s
+    r_a, r_as = sign * r_mu, sign * r_mus
     ds = math.copysign(model.mean_sd, est.gamma)
     slopes = tuple(r_a * da + r_s * ds for da in a_slopes)
     curvatures = tuple(r_aa * da * da + 2.0 * r_as * da * ds + r_ss * ds * ds for da in a_slopes)

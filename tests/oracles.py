@@ -15,11 +15,18 @@ from scipy.special import gamma as gamma_fn
 from scipy.special import gammaln, ndtr
 from scipy.special import hyp1f1
 
+#: The Gaussian-law oracles integrate over |z| <= Z_LIM, where the normal
+#: weight underflows: the closed form they check truncates nothing, and the
+#: +-15 of the median kernel loses 2e-11 of E|Z|^100.
+Z_LIM = 40.0
+
 #: Break points are passed to QUADPACK only for |z| below this.  One within
-#: rounding of the +-15 range end leaves a sliver QUADPACK integrates wrongly
-#: (a Huber elbow at z = 14.999999999999996 gave 0.645 for 0.62); past
-#: |z| = 14 the normal weight is below 1e-42, so a kink there needs no split.
-BREAK_Z = 14.0
+#: rounding of a range end leaves a sliver QUADPACK integrates wrongly (a
+#: Huber elbow at z = 14.999999999999996 gave 0.645 for 0.62 on +-15); a
+#: unit inside the end the normal weight is below 1e-42, so a kink there
+#: needs no split.  The median oracles keep the kernel's +-15.
+BREAK_Z = Z_LIM - 1.0
+MEDIAN_BREAK_Z = 14.0
 
 
 def abs_moment(q: float) -> float:
@@ -29,10 +36,22 @@ def abs_moment(q: float) -> float:
 
 def closed_form_power_risk(mu: float, s: float, p: float) -> float:
     """E|mu + s*Z|^p in closed form (Winkelbauer 2012, arXiv:1209.4340):
-    s^p * E|Z|^p * 1F1(-p/2; 1/2; -mu^2 / (2 s^2))."""
+    s^p * E|Z|^p * 1F1(-p/2; 1/2; -mu^2 / (2 s^2)).  For even integer p it
+    is the binomial sum over the even moments, sum_j C(p, 2j) mu^(p-2j)
+    s^(2j) (2j-1)!!: scipy's 1F1 returns nan there once mu^2 / (2 s^2)
+    passes about 1e19."""
     if s == 0:
         return abs(mu) ** p
+    if p == int(p) and p % 2 == 0:
+        p = int(p)
+        return math.fsum(math.comb(p, 2 * j) * mu ** (p - 2 * j) * s ** (2 * j)
+                         * _double_factorial(2 * j - 1) for j in range(p // 2 + 1))
     return s**p * abs_moment(p) * float(hyp1f1(-p / 2, 0.5, -mu * mu / (2 * s * s)))
+
+
+def _double_factorial(k: int) -> int:
+    """k!! for odd k >= -1 (with (-1)!! = 1)."""
+    return math.prod(range(k, 0, -2))
 
 
 def quadpack_power_risk(mu: float, s: float, p: float) -> float:
@@ -45,7 +64,7 @@ def quadpack_power_risk(mu: float, s: float, p: float) -> float:
 
     root = -mu / s
     points = [root] if abs(root) < BREAK_Z else None
-    value, _ = integrate.quad(integrand, -15, 15, points=points, limit=300,
+    value, _ = integrate.quad(integrand, -Z_LIM, Z_LIM, points=points, limit=300,
                               epsabs=1e-13, epsrel=1e-13)
     return value
 
@@ -63,7 +82,7 @@ def quadpack_huber_risk(mu: float, s: float, k: float) -> float:
         return huber(mu + s * z) * math.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
 
     points = [z for z in ((-k - mu) / s, -mu / s, (k - mu) / s) if abs(z) < BREAK_Z]
-    value, _ = integrate.quad(integrand, -15, 15, points=points or None, limit=300,
+    value, _ = integrate.quad(integrand, -Z_LIM, Z_LIM, points=points or None, limit=300,
                               epsabs=1e-13, epsrel=1e-13)
     return value
 
@@ -79,7 +98,7 @@ def quadpack_risk_gradient(mu: float, s: float, loss_slope, kinks=()) -> tuple:
         def integrand(z):
             return loss_slope(mu + s * z) * weight(z) * math.exp(-0.5 * z * z)
 
-        value, _ = integrate.quad(integrand, -15, 15, points=points, limit=300,
+        value, _ = integrate.quad(integrand, -Z_LIM, Z_LIM, points=points, limit=300,
                                   epsabs=1e-15, epsrel=1e-12)
         return value / math.sqrt(2 * math.pi)
 
@@ -124,7 +143,7 @@ def quadpack_median_risk(n: int, beta: float, p: float, sigma: float = 1.0) -> f
 
     if n % 2:
         value, _ = integrate.quad(lambda m: loss(m) * _median_density(n, m), -15, 15,
-                                  points=[root] if abs(root) < BREAK_Z else None,
+                                  points=[root] if abs(root) < MEDIAN_BREAK_Z else None,
                                   limit=500, epsabs=1e-15, epsrel=1e-13)
         return value
 
@@ -135,7 +154,8 @@ def quadpack_median_risk(n: int, beta: float, p: float, sigma: float = 1.0) -> f
                                   limit=500, epsabs=1e-15, epsrel=1e-13)
         return value
 
-    value, _ = integrate.quad(inner, -15, 15, points=[root] if abs(root) < BREAK_Z else None,
+    value, _ = integrate.quad(inner, -15, 15,
+                              points=[root] if abs(root) < MEDIAN_BREAK_Z else None,
                               limit=500, epsabs=1e-15, epsrel=1e-13)
     return value
 

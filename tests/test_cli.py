@@ -862,8 +862,8 @@ BAD_VALUES = [
      "[model]: n must be at most the largest float"),
     ("shift-risk", f"[shift_risk]\n{HUGE_N}\nq = 2\nalphas = 0", 2,
      "[shift_risk]: n must be at most the largest float"),
-    # a power above the quadrature's exponent bound is refused before any
-    # risk is integrated, where the truncated kernel would understate it
+    # a power above the exponent bound is refused before any risk is
+    # evaluated, for every rule alike
     ("risk", STEEP_LOSS + "[risk]\nestimator = mean\nloss = steep\nthetas = 0", 3,
      "numerical error: a power exponent of 150.0 is above 100.0"),
     ("minimax", STEEP_LOSS + FAMILY + "[minimax]\nloss = steep", 3,

@@ -91,28 +91,6 @@ class TestOnePassKernel:
         got = gaussian_expectation(f, mu, s, nodes, kinks=kinks, roots=roots)
         assert got == reference_expectation(f, mu, s, nodes, kinks=kinks, roots=roots)
 
-    @given(
-        mu=st.floats(min_value=-30.0, max_value=30.0),
-        s=st.floats(min_value=1e-3, max_value=5.0),
-        nodes=st.integers(min_value=2, max_value=300),
-        kind=st.sampled_from(["power", "signed", "huber"]),
-        p=st.floats(min_value=0.5, max_value=4.0),
-        k=st.floats(min_value=0.1, max_value=3.0),
-        kinks=st.lists(points, max_size=3),
-        roots=st.lists(points, max_size=2),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_hermite_argument_keeps_the_bits(self, mu, s, nodes, kind, p, k, kinks, roots):
-        # off (the default, as on every call but the slope pass) the kernel
-        # is the segment loop bit for bit; on, its value is the same bits
-        f = _integrand(kind, p, k)
-        off = gaussian_expectation(f, mu, s, nodes, kinks=kinks, roots=roots, hermite=False)
-        on, moments = gaussian_expectation(f, mu, s, nodes, kinks=kinks, roots=roots,
-                                           hermite=True)
-        ref = reference_expectation(f, mu, s, nodes, kinks=kinks, roots=roots)
-        assert off.hex() == on.hex() == ref.hex()
-        assert len(moments) == 4
-
     def test_kink_on_root_and_points_outside_the_window(self):
         # a kink at the root, a root at z = -20 and a kink at z = +16
         f = _integrand("huber", 0.0, 1.0)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from minmax_lab.closed_form import gaussian_risk
 from minmax_lab.errors import NonFiniteRiskError, QuadratureUnsupportedError
 from minmax_lab.losses import (
     Huber,
@@ -122,12 +123,14 @@ class TestQuadratureRisk:
         SumLoss([Power(2), Huber(1.0), Scaled(3.0, Power(150))]),
     ], ids=repr)
     def test_exponent_above_the_bound_is_refused(self, loss, monkeypatch):
-        # the kernel's truncation at |z| = 15 would understate such a risk
-        # (8 times at p = 250), so no quadrature runs at all
-        def no_quadrature(*args, **kwargs):
-            raise AssertionError("a quadrature ran")
+        # the median kernel's truncation at |z| = 15 would understate such a
+        # risk (8 times at p = 250), so no risk is evaluated at all, by the
+        # kernel or by the closed form
+        def no_evaluation(*args, **kwargs):
+            raise AssertionError("a risk was evaluated")
 
-        monkeypatch.setattr(risk_module, "gaussian_expectation", no_quadrature)
+        monkeypatch.setattr(risk_module, "gaussian_expectation", no_evaluation)
+        monkeypatch.setattr(risk_module, "gaussian_risk", no_evaluation)
         est = AffineMean(0.8, 0.1)
         with pytest.raises(NonFiniteRiskError, match="is above 100.0"):
             risk(M1, est, loss, 0.5, Quadrature())
@@ -376,19 +379,25 @@ class TestGoldenSection:
 
 
 def _negated_error_risk(model, est, loss, theta):
-    """The quadrature risk as the loss of -(error), kinks and roots negated:
-    the literal theta - delta that risk() no longer forms."""
-    mu, s, _ = error_law(model, est, theta)
+    """The exact risk as the loss of -(error): the literal theta - delta
+    that risk() does not form.  A Gaussian error N(mu, s^2) is negated to
+    N(-mu, s^2) (its point mass at s = 0 to -mu); the median's kernel
+    integral takes the loss at -t, with its kinks and roots negated."""
+    mu, s, weight = error_law(model, est, theta)
+    if weight is None:
+        if s == 0.0:
+            return float(loss_of_error(loss, np.asarray([-mu]))[0])
+        return gaussian_risk(loss, -mu, s)[0]
     kinks, roots = loss_breakpoints(loss)
     return gaussian_expectation(
-        lambda t: loss_of_error(loss, -t), mu, s,
+        lambda t: loss_of_error(loss, -t) * weight((t - mu) / s), mu, s,
         kinks=tuple(-k for k in kinks), roots=tuple(-r for r in roots),
     )
 
 
 class TestUnnegatedError:
-    """risk() integrates the loss at the error itself; evenness makes that
-    the old integral in every bit."""
+    """risk() evaluates the loss at the error itself; evenness makes that
+    the risk of the negated error in every bit."""
 
     @given(
         gamma=st.floats(min_value=-1.5, max_value=1.5),
@@ -396,13 +405,22 @@ class TestUnnegatedError:
         theta=st.floats(min_value=-4.0, max_value=4.0),
         n=st.sampled_from([1, 4, 25]),
         case=loss_cases,
+        median=st.booleans(),
     )
-    @example(gamma=1.0, beta=0.0, theta=0.0, n=1, case=_huber_case(1.0))  # mu = 0: a +-0.0 root
-    @example(gamma=0.5, beta=-1.0, theta=-2.0, n=1, case=_power_case(1.5, 1.0))  # mu = 0 again
+    @example(gamma=1.0, beta=0.0, theta=0.0, n=1, case=_huber_case(1.0),
+             median=False)  # mu = 0: a +-0.0 root
+    @example(gamma=0.5, beta=-1.0, theta=-2.0, n=1, case=_power_case(1.5, 1.0),
+             median=False)  # mu = 0 again
+    @example(gamma=0.0, beta=0.3, theta=1.0, n=1, case=_power_case(1.5, 1.0),
+             median=False)  # s = 0: a point mass
+    @example(gamma=1.0, beta=-0.4, theta=0.0, n=4, case=_huber_case(0.7), median=True)
     @settings(max_examples=150, deadline=None)
-    def test_quadrature_risk_is_the_negated_integral(self, gamma, beta, theta, n, case):
+    def test_quadrature_risk_is_the_negated_integral(self, gamma, beta, theta, n, case, median):
+        # an affine law keeps its bits at the mirrored mu; the median law's
+        # kernel integral keeps them with the loss at the negated error
         loss, _ = case
-        model, est = GaussianLocationModel(n=n), AffineMean(gamma, beta)
+        model = GaussianLocationModel(n=n)
+        est = SampleMedian(beta) if median else AffineMean(gamma, beta)
         got = risk(model, est, loss, theta, Quadrature()).value
         assert got.hex() == _negated_error_risk(model, est, loss, theta).hex()
 
