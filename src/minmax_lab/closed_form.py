@@ -25,7 +25,7 @@ loss spec:
     R_s = s R_mumu, R_mus = phi(a) - phi(b) and R_ss = R_mumu + a phi(a)
     - b phi(b).  Where b - a = 2k/s is small, Phi(b) - Phi(a) is a short
     Hermite series instead of a difference.
-  * Scaled and SumLoss are linear in their terms.
+  * Scaled and SumLoss: the sum of factor * partials over losses.conic_terms.
 
 A power that overflows comes back as inf, so an overflowing risk is not
 finite rather than an OverflowError.
@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from typing import Tuple
 
-from .losses import Huber, LossSpec, Power, Scaled, SumLoss
+from .losses import LossSpec, Power, conic_terms
 
 Partials = Tuple[float, float, float, float, float, float]
 
@@ -60,17 +60,13 @@ def gaussian_risk(loss: LossSpec, mu: float, s: float) -> Partials:
     for standard normal Z and s > 0 (see the module docstring)."""
     if not s > 0.0:
         raise ValueError(f"s must be > 0, got {s}")
-    if isinstance(loss, Power):
-        return _power(loss.p, loss.c, mu, s)
-    if isinstance(loss, Scaled):
-        f = loss.factor
-        return tuple(f * v for v in gaussian_risk(loss.inner, mu, s))
-    if isinstance(loss, SumLoss):
-        parts = [gaussian_risk(term, mu, s) for term in loss.terms]
-        return tuple(sum(column) for column in zip(*parts))
-    if isinstance(loss, Huber):
-        return _huber(loss.k, mu, s)
-    raise TypeError(f"not a loss spec: {loss!r}")
+    total = None
+    for factor, atom in conic_terms(loss):
+        parts = _power(atom.p, atom.c, mu, s) if isinstance(atom, Power) else _huber(atom.k, mu, s)
+        if factor != 1.0:
+            parts = tuple(factor * v for v in parts)
+        total = parts if total is None else tuple(a + b for a, b in zip(total, parts))
+    return total
 
 
 def _pow(x: float, e: float) -> float:

@@ -1,18 +1,18 @@
 """Can one estimator be worst-case optimal for two different power classes?
 
 The engine answers with numerical certificates.  For a pair of losses with
-distinct local exponents p < q (both > 1), it solves the family minimax
-problem for the p-loss and walks downhill for the q-loss in the family's
-free coordinate x, along the profile the solver searched.  One slope pass
-of the q-loss at x gives its worst case, `gradient_q` and R_q'' exactly
-(from the closed form's partials, risk.worst_case_slopes): the
-steepest-descent slope, one-sided at a face or a kink of the profile, and
-`direction` is the sign of the step in x.  `gradient_p_norm` is the same
-slope of the p-loss, from the p-solve's own `worst_case` record.  The
-median family and gamma = 0 (s = 0) take difference quotients with
-h = 1e-4 instead.  The steps alpha are alpha0/2 down to alpha0/16 below
-alpha0 = 2|slope| / R_q'' (at most 0.1), where the local quadratic of the
-q-risk stops descending:
+distinct local exponents p < q (both > 1, read exactly by
+losses.local_exponent), it solves the family minimax problem for the p-loss
+and walks downhill for the q-loss in the family's free coordinate x, along
+the profile the solver searched.  One slope pass of the q-loss at x gives
+its worst case, `gradient_q` and R_q'' exactly (from the closed form's
+partials, risk.worst_case_slopes): the steepest-descent slope, one-sided at
+a face or a kink of the profile, and `direction` is the sign of the step in
+x.  `gradient_p_norm` is the same slope of the p-loss, from the p-solve's
+own `worst_case` record.  The median family and gamma = 0 (s = 0) take
+difference quotients with h = 1e-4 instead.  The steps alpha are alpha0/2
+down to alpha0/16 below alpha0 = 2|slope| / R_q'' (at most 0.1), where the
+local quadratic of the q-risk stops descending:
 
   * a strictly negative q-risk change at some step alpha, with the p-risk
     degrading only quadratically (fitted slope of |delta R_p| vs alpha near
@@ -43,8 +43,8 @@ import numpy as np
 
 from .closed_form import gaussian_risk
 from .errors import ExponentPreconditionError, InsufficientClassesError
-# loss_of_error is not called here; the benchmark's tracer patches the name
-from .losses import LossSpec, Power, classify_exponent, loss_of_error  # noqa: F401
+# the benchmark's tracer patches classify_exponent and loss_of_error here
+from .losses import LossSpec, Power, classify_exponent, local_exponent, loss_of_error  # noqa: F401
 from .model import AffineMean, GaussianLocationModel, Interval, _require_finite
 from .minimax import (
     MAXITER,
@@ -135,22 +135,22 @@ def refute_joint_minimaxity(
 
     Requires both local exponents > 1 and separated by more than 0.05;
     equal-class pairs are rejected up front because positive scaling never
-    leaves a class.  `p_solution`, when given, must be the
-    result of solve_minimax for loss_p with the same model, family and
-    interval; it is used instead of solving that problem again.
+    leaves a class.  The exponents, the certificate's `p` and `q`, are read
+    from the specs (losses.local_exponent), not fitted.  `p_solution`, when
+    given, must be the result of solve_minimax for loss_p with the same
+    model, family and interval; it is used instead of solving that problem
+    again.
     `q_solution`, likewise for loss_q, lends its optimum's worst case and
     slopes wherever the certificate evaluates loss_q there.
     """
-    cls_p = classify_exponent(loss_p)
-    cls_q = classify_exponent(loss_q)
-    if cls_p.p_hat <= 1.0 or cls_q.p_hat <= 1.0:
+    p, q = local_exponent(loss_p)[0], local_exponent(loss_q)[0]
+    if p <= 1.0 or q <= 1.0:
         raise ExponentPreconditionError(
-            f"both local exponents must exceed 1, got {cls_p.p_hat:.4f} and {cls_q.p_hat:.4f}"
+            f"both local exponents must exceed 1, got {p:.4f} and {q:.4f}"
         )
-    if abs(cls_p.p_hat - cls_q.p_hat) <= 0.05:
+    if abs(p - q) <= 0.05:
         raise ExponentPreconditionError(
-            f"local exponents {cls_p.p_hat:.4f} and {cls_q.p_hat:.4f} are in the "
-            "same class (gap <= 0.05)"
+            f"local exponents {p:.4f} and {q:.4f} are in the same class (gap <= 0.05)"
         )
 
     mm = p_solution
@@ -217,8 +217,8 @@ def refute_joint_minimaxity(
 
     head = successes[0] if successes else None
     return RefutationCertificate(
-        p=cls_p.p_hat,
-        q=cls_q.p_hat,
+        p=p,
+        q=q,
         delta_star_params=mm.best_params,
         gradient_q=(g,),
         gradient_p_norm=abs(_descent_slope(at_p, x, box)),

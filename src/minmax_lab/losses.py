@@ -1,9 +1,11 @@
 """Loss specifications, the positive-scaling cone, and the exponent classifier.
 
 Every loss here is a symmetric function of the error t = theta - a, zero at
-t = 0 and nonnegative everywhere.  A loss's small-|t| behaviour c*|t|^p is
-what the classifier estimates; losses with the same local exponent belong to
-the same power class.
+t = 0 and nonnegative everywhere.  Every reader of a spec walks its conic
+terms, the (factor, atom) pairs of `conic_terms`.  A loss's small-|t|
+behaviour c*|t|^p is read from them exactly (`local_exponent`); losses with
+the same local exponent belong to the same power class.  The classifier
+only measures how power-like a loss is over a window.
 """
 
 from __future__ import annotations
@@ -81,47 +83,54 @@ class Huber:
 LossSpec = Union[Power, Scaled, SumLoss, Huber]
 
 
+def conic_terms(loss: LossSpec) -> Tuple[Tuple[float, Union[Power, Huber]], ...]:
+    """The loss as a positive combination sum factor * atom(t): its
+    (factor, atom) pairs, atoms in the order the SumLoss terms list them.
+    A factor is the product of the Scaled factors around its atom, 1.0
+    where there are none."""
+    if isinstance(loss, (Power, Huber)):
+        return ((1.0, loss),)
+    if isinstance(loss, Scaled):
+        return tuple((loss.factor * f, atom) for f, atom in conic_terms(loss.inner))
+    if isinstance(loss, SumLoss):
+        return tuple(pair for term in loss.terms for pair in conic_terms(term))
+    raise TypeError(f"not a loss spec: {loss!r}")
+
+
 def loss_of_error(loss: LossSpec, t) -> np.ndarray:
     """Vectorized loss as a function of the error t = theta - a."""
     t = np.asarray(t, dtype=float)
-    if isinstance(loss, Power):
-        return loss.c * np.abs(t) ** loss.p
-    if isinstance(loss, Scaled):
-        return loss.factor * loss_of_error(loss.inner, t)
-    if isinstance(loss, SumLoss):
-        out = loss_of_error(loss.terms[0], t)
-        for term in loss.terms[1:]:
-            out = out + loss_of_error(term, t)
-        return out
-    if isinstance(loss, Huber):
-        a = np.abs(t)
-        return np.where(a <= loss.k, 0.5 * t * t, loss.k * a - 0.5 * loss.k**2)
-    raise TypeError(f"not a loss spec: {loss!r}")
+    a = np.abs(t)
+    out = None
+    for factor, atom in conic_terms(loss):
+        value = (atom.c * a**atom.p if isinstance(atom, Power)
+                 else np.where(a <= atom.k, 0.5 * t * t, atom.k * a - 0.5 * atom.k**2))
+        if factor != 1.0:
+            value = factor * value
+        out = value if out is None else out + value
+    return out
 
 
 def loss_breakpoints(loss: LossSpec) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
     """Error values where the loss is not smooth.
 
     Returns (kinks, roots): `roots` are zeros with possibly fractional-power
-    behaviour (t = 0 for power terms), `kinks` are plain piecewise joins
-    (the Huber elbow).  The median's quadrature splits integrals there.
+    behaviour (t = 0, the root of every atom), `kinks` are plain piecewise
+    joins (the Huber elbows).  The median's quadrature splits integrals there.
     """
-    if isinstance(loss, Power):
-        return (), (0.0,)
-    if isinstance(loss, Scaled):
-        return loss_breakpoints(loss.inner)
-    if isinstance(loss, SumLoss):
-        kinks: set = set()
-        roots: set = set()
-        for term in loss.terms:
-            k, r = loss_breakpoints(term)
-            kinks.update(k)
-            roots.update(r)
-        kinks -= roots
-        return tuple(sorted(kinks)), tuple(sorted(roots))
-    if isinstance(loss, Huber):
-        return (-loss.k, loss.k), (0.0,)
-    raise TypeError(f"not a loss spec: {loss!r}")
+    kinks = {x for _, atom in conic_terms(loss) if isinstance(atom, Huber)
+             for x in (-atom.k, atom.k)}
+    return tuple(sorted(kinks)), (0.0,)
+
+
+def local_exponent(loss: LossSpec) -> Tuple[float, float]:
+    """The loss's behaviour c * |t|^p near t = 0, read from its conic terms:
+    p is the smallest atom exponent and c the sum of the coefficients at
+    it.  A Huber atom is t^2/2 there, exponent 2 with coefficient 1/2."""
+    local = [(atom.p, factor * atom.c) if isinstance(atom, Power) else (2.0, 0.5 * factor)
+             for factor, atom in conic_terms(loss)]
+    p = min(e for e, _ in local)
+    return p, sum(c for e, c in local if e == p)
 
 
 def scale_loss(loss: LossSpec, factor: float) -> LossSpec:

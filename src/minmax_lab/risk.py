@@ -52,7 +52,7 @@ import numpy as np
 
 from .closed_form import gaussian_risk
 from .errors import NonFiniteRiskError, QuadratureUnsupportedError
-from .losses import LossSpec, Power, Scaled, SumLoss, loss_breakpoints, loss_of_error
+from .losses import LossSpec, Power, conic_terms, loss_breakpoints, loss_of_error
 from .model import (
     AffineMean,
     EstimatorSpec,
@@ -125,19 +125,9 @@ def _checked(value: float, context: str, what: str = "risk") -> float:
 MAX_EXPONENT = 100.0
 
 
-def _largest_exponent(loss: LossSpec) -> float:
-    """The largest p of the loss's c|t|^p terms; Huber grows like |t|."""
-    if isinstance(loss, Power):
-        return loss.p
-    if isinstance(loss, Scaled):
-        return _largest_exponent(loss.inner)
-    if isinstance(loss, SumLoss):
-        return max(_largest_exponent(term) for term in loss.terms)
-    return 1.0
-
-
 def _check_exponent(loss: LossSpec) -> None:
-    p = _largest_exponent(loss)
+    # the largest p of the loss's c|t|^p atoms; Huber grows like |t|
+    p = max((atom.p for _, atom in conic_terms(loss) if isinstance(atom, Power)), default=1.0)
     if p > MAX_EXPONENT:
         raise NonFiniteRiskError(
             f"a power exponent of {p!r} is above {MAX_EXPONENT}, the bound of the "

@@ -55,9 +55,15 @@ def _double_factorial(k: int) -> int:
 
 
 def quadpack_power_risk(mu: float, s: float, p: float) -> float:
-    """E|mu + s*Z|^p by adaptive QUADPACK integration."""
+    """E|mu + s*Z|^p by adaptive QUADPACK integration.  The absolute
+    tolerance scales with the risk's size max(|mu|, s)^p: a fixed one would
+    check a risk below it only to epsabs / R relative."""
     if s == 0:
         return abs(mu) ** p
+    try:
+        epsabs = 1e-16 * max(abs(mu), s) ** p
+    except OverflowError:
+        epsabs = math.inf  # the integrand overflows as well
 
     def integrand(z):
         return abs(mu + s * z) ** p * math.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
@@ -65,12 +71,14 @@ def quadpack_power_risk(mu: float, s: float, p: float) -> float:
     root = -mu / s
     points = [root] if abs(root) < BREAK_Z else None
     value, _ = integrate.quad(integrand, -Z_LIM, Z_LIM, points=points, limit=300,
-                              epsabs=1e-13, epsrel=1e-13)
+                              epsabs=epsabs, epsrel=1e-13)
     return value
 
 
 def quadpack_huber_risk(mu: float, s: float, k: float) -> float:
-    """E[huber_k(mu + s*Z)] by adaptive QUADPACK, split at the elbows and the root."""
+    """E[huber_k(mu + s*Z)] by adaptive QUADPACK, split at the elbows and the
+    root, to an absolute tolerance scaled, as the power oracle's, to the
+    risk's size: the loss at m = max(|mu|, s), at most min(m^2 / 2, k m)."""
     def huber(t):
         a = abs(t)
         return 0.5 * t * t if a <= k else k * a - 0.5 * k * k
@@ -81,9 +89,10 @@ def quadpack_huber_risk(mu: float, s: float, k: float) -> float:
     def integrand(z):
         return huber(mu + s * z) * math.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
 
+    m = max(abs(mu), s)
     points = [z for z in ((-k - mu) / s, -mu / s, (k - mu) / s) if abs(z) < BREAK_Z]
     value, _ = integrate.quad(integrand, -Z_LIM, Z_LIM, points=points or None, limit=300,
-                              epsabs=1e-13, epsrel=1e-13)
+                              epsabs=1e-16 * min(0.5 * m * m, k * m), epsrel=1e-13)
     return value
 
 

@@ -2,7 +2,9 @@
 partials against QUADPACK, and the slope pass along the affine family's
 profile built on them."""
 
+import functools
 import math
+import struct
 from typing import Callable, NamedTuple, Tuple
 
 import pytest
@@ -30,8 +32,8 @@ class Case(NamedTuple):
     of the second differences: max(|mu|, s) / (1 + p) for powers, and s for
     Huber, whose elbows the normal smooths over s only.  The case is
     evaluated where max(|mu|, s) = `size`: 1 for powers, so that no risk up
-    to p = 100 overflows or falls below the oracles' absolute tolerance,
-    and up to 1e6 for Huber, whose risk grows only linearly."""
+    to p = 100 overflows, and up to 1e6 for Huber, whose risk grows only
+    linearly."""
 
     loss: object
     risk: Callable[[float, float], float]
@@ -117,6 +119,16 @@ class TestClosedForm:
     def test_value_matches_quadpack(self, case, ratio, sign):
         mu, s = point(ratio, sign, case.size)
         assert gaussian_risk(case.loss, mu, s)[0] == pytest.approx(case.risk(mu, s), rel=1e-12)
+
+    @pytest.mark.parametrize("loss, mu, s, oracle", [
+        (Power(24), 0.25, 0.25 / 9, lambda mu, s: quadpack_power_risk(mu, s, 24)),
+        (Huber(1.0), 1e-5, 1e-6, lambda mu, s: quadpack_huber_risk(mu, s, 1.0)),
+    ], ids=["power", "huber"])
+    def test_risk_below_a_fixed_tolerance_matches_quadpack(self, loss, mu, s, oracle):
+        # risks of 5.5e-14 and 5.05e-11: the oracles' absolute tolerance
+        # scales with the risk, where a fixed 1e-13 let the power risk come
+        # back 1.2% low
+        assert gaussian_risk(loss, mu, s)[0] == pytest.approx(oracle(mu, s), rel=1e-12)
 
     @given(case=CASES, ratio=RATIOS, sign=SIGNS)
     @example(case=power_case(1.5, 1.0), ratio=0.0, sign=1.0)
@@ -213,6 +225,26 @@ class TestClosedForm:
                                       rel=1e-13, abs=1e-12)
             r4 = gaussian_risk(Power(4), mu, s)
             assert r4[0] == pytest.approx(mu**4 + 6 * mu**2 * s**2 + 3 * s**4, rel=1e-13)
+
+    @pytest.mark.parametrize("terms", [
+        (Power(1.5, 3), Power(3, 1)),
+        (Huber(1.0), Scaled(2.0, Power(2, 2)), Power(0.7, 0.4)),
+        (Scaled(0.3, Huber(0.2)), Scaled(7.0, Power(4.5)), Huber(3.0), Power(1.1)),
+    ], ids=repr)
+    @pytest.mark.parametrize("mu, s", [(0.3, 0.7), (-0.0, 1.0), (-20.0, 0.5)])
+    def test_flat_specs_keep_their_bits(self, terms, mu, s):
+        # a factor multiplies its atom's partials, and a flat sum adds its
+        # terms' partials left to right
+        def bits(values):
+            return struct.pack("<6d", *values)
+
+        for term in terms:
+            if isinstance(term, Scaled):
+                assert bits(gaussian_risk(term, mu, s)) == bits(
+                    [term.factor * v for v in gaussian_risk(term.inner, mu, s)])
+        expected = functools.reduce(lambda a, b: [x + y for x, y in zip(a, b)],
+                                    [gaussian_risk(term, mu, s) for term in terms])
+        assert bits(gaussian_risk(SumLoss(terms), mu, s)) == bits(expected)
 
     def test_overflow_is_inf(self):
         # s**p overflows in Python floats; the risk is then inf, not an error

@@ -16,7 +16,7 @@ from minmax_lab.exclusivity import (
     mean_shift_risk_deriv,
     refute_joint_minimaxity,
 )
-from minmax_lab.losses import Power, Scaled, scale_loss
+from minmax_lab.losses import Power, Scaled, SumLoss, scale_loss
 from minmax_lab.minimax import (
     AffineMeanFamily,
     MedianShiftFamily,
@@ -150,6 +150,27 @@ class TestRefutation:
     def test_nonsmooth_exponent_rejected(self):
         with pytest.raises(ExponentPreconditionError):
             refute_joint_minimaxity(M1, FAMILY, Power(1, 1), Power(2, 1), THETA3)
+
+    def test_sum_with_a_linear_term_is_rejected(self):
+        # |t| + |t|^3 is |t| near 0: local exponent 1, where a log-log fit
+        # over (1e-5, 1e-2) reads 1.0000073 and let the pair through
+        with pytest.raises(ExponentPreconditionError, match="must exceed 1"):
+            refute_joint_minimaxity(
+                M1, FAMILY, SumLoss((Power(1), Power(3))), Power(4), THETA3
+            )
+
+    def test_certificate_carries_the_exact_exponents(self):
+        cert = refute_joint_minimaxity(M1, FAMILY, Power(2, 1), Power(4, 1), THETA3)
+        assert (cert.p, cert.q) == (2.0, 4.0)
+
+    def test_certificate_fits_no_exponent(self, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("an exponent was fitted")
+
+        monkeypatch.setattr(importlib.import_module("minmax_lab.exclusivity"),
+                            "classify_exponent", no_fit)
+        cert = refute_joint_minimaxity(M1, FAMILY, Power(2, 1), Power(4, 1), THETA3)
+        assert cert.verdict is Verdict.REFUTED
 
     def test_wide_interval_is_stationary_for_both(self):
         cert = refute_joint_minimaxity(

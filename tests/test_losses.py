@@ -1,5 +1,7 @@
-"""Loss evaluation, the scaling cone, and the exponent classifier."""
+"""Loss evaluation, the scaling cone, the conic normal form, and the exponent
+classifier."""
 
+import functools
 import math
 
 import numpy as np
@@ -13,6 +15,8 @@ from minmax_lab.losses import (
     Scaled,
     SumLoss,
     classify_exponent,
+    conic_terms,
+    local_exponent,
     loss_breakpoints,
     loss_of_error,
     scale_loss,
@@ -163,7 +167,8 @@ class TestClassifier:
 
 
 class TestSameClass:
-    # two losses share a power class when their fitted exponents agree to 0.05
+    # two losses share a power class when their exact local exponents agree
+    # to 0.05; the classifier's fits keep to that
     def test_scaling_preserves_class(self):
         p_hat = classify_exponent(Power(2, 1)).p_hat
         assert classify_exponent(Scaled(5, Power(2, 1))).p_hat == pytest.approx(p_hat, abs=0.05)
@@ -175,3 +180,83 @@ class TestSameClass:
     def test_huber_matches_quadratic(self):
         p_hat = classify_exponent(Power(2, 4)).p_hat
         assert classify_exponent(Huber(1)).p_hat == pytest.approx(p_hat, abs=0.05)
+
+
+class TestConicTerms:
+    def test_atoms_in_term_order_with_their_factors(self):
+        loss = SumLoss((Scaled(2.0, SumLoss((Power(3, 1), Huber(0.5)))), Power(1.5, 4)))
+        assert conic_terms(loss) == ((2.0, Power(3, 1)), (2.0, Huber(0.5)), (1.0, Power(1.5, 4)))
+
+    def test_nested_factors_multiply(self):
+        assert conic_terms(Scaled(3.0, Scaled(0.5, Huber(1.0)))) == ((1.5, Huber(1.0)),)
+
+    def test_not_a_spec(self):
+        with pytest.raises(TypeError, match="not a loss spec"):
+            conic_terms(2.0)
+
+    @pytest.mark.parametrize("loss, expected", [
+        (Power(2.5, 3), (2.5, 3.0)),
+        (Huber(0.3), (2.0, 0.5)),
+        (Scaled(3.0, Huber(1.0)), (2.0, 1.5)),
+        (SumLoss((Power(3, 1), Power(1.5, 3))), (1.5, 3.0)),
+        (SumLoss((Huber(1.0), Power(2, 2), Scaled(2.0, Power(3)))), (2.0, 2.5)),
+    ], ids=repr)
+    def test_local_exponent(self, loss, expected):
+        assert local_exponent(loss) == expected
+
+
+class TestFlatSpecBits:
+    # the conic form keeps a flat spec's bits: a factor multiplies its
+    # atom's value, and a flat sum adds its terms left to right
+    ts = np.array([0.0, -0.0, 5e-324, 0.3, -1.7, 12.5, 1e155, -math.inf])
+
+    @pytest.mark.parametrize("f, p, c", [(2.5, 3.0, 1.0), (0.1, 1.5, 7.0), (1.0, 2.0, 0.3)])
+    def test_scaled_power(self, f, p, c):
+        with np.errstate(over="ignore"):
+            got = loss_of_error(Scaled(f, Power(p, c)), self.ts)
+            expected = f * (c * np.abs(self.ts) ** p)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("terms", [
+        (Power(1.5, 3), Power(3, 1)),
+        (Huber(1.0), Scaled(2.0, Power(2, 2)), Power(0.7, 0.4)),
+        (Scaled(0.3, Huber(0.2)), Scaled(7.0, Power(4.5)), Huber(3.0), Power(1.1)),
+    ], ids=repr)
+    def test_flat_sum(self, terms):
+        with np.errstate(over="ignore"):
+            got = loss_of_error(SumLoss(terms), self.ts)
+            expected = functools.reduce(lambda a, b: a + b,
+                                        [loss_of_error(term, self.ts) for term in terms])
+        assert got.tobytes() == expected.tobytes()
+
+
+same_exponent = st.sampled_from([1.5, 2.0, 3.0])
+exponent_atoms = st.one_of(
+    st.builds(Power, st.one_of(same_exponent, st.floats(1.1, 6.0)), st.floats(0.1, 10.0)),
+    st.builds(Huber, st.floats(0.02, 5.0)),
+)
+exponent_trees = st.recursive(
+    exponent_atoms,
+    lambda inner: st.one_of(
+        st.builds(Scaled, st.floats(0.1, 10.0), inner),
+        st.builds(SumLoss, st.lists(inner, min_size=1, max_size=3)),
+    ),
+    max_leaves=5,
+)
+
+
+@given(loss=exponent_trees)
+@settings(max_examples=50, deadline=None)
+def test_local_exponent_matches_the_fit(loss):
+    # the exact exponent against the classifier's log-log fit, an
+    # independent numerical path: over its window, where every Huber atom
+    # is t^2/2, a single exponent is fitted exactly, and a mixed sum's
+    # log-log slope lies between its smallest and largest exponents
+    p, c = local_exponent(loss)
+    exponents = [atom.p if isinstance(atom, Power) else 2.0 for _, atom in conic_terms(loss)]
+    fit = classify_exponent(loss)
+    if min(exponents) == max(exponents):
+        assert fit.p_hat == pytest.approx(p, abs=1e-6)
+        assert fit.c_hat == pytest.approx(c, rel=1e-6)
+    else:
+        assert p - 1e-9 <= fit.p_hat <= max(exponents) + 1e-9
